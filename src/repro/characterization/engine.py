@@ -9,36 +9,41 @@ the behavioral fleet:
   CampaignSpec` into independent work shards — one (module, site-block,
   sweep-point) cell each — with deterministic per-shard seeds derived
   from :func:`repro.rng.derive_seed`;
-* :func:`run_engine` fans the shards out over a ``multiprocessing``
-  worker pool (or runs them in-process with ``workers=1``), appends each
-  completed shard to a JSONL checkpoint through the atomic-write helper,
-  retries failed shards with bounded exponential backoff, and surfaces
-  shards that still fail as structured :class:`ShardFailure` records
-  instead of aborting the campaign;
-* with ``resume=True`` a restarted campaign skips every shard already in
-  the checkpoint and finishes only the remainder.
+* :func:`run_engine` opens the shards as one job in a private,
+  in-process :class:`~repro.fleet.leases.LeaseManager` (no HTTP, no
+  lease expiry) and runs an acquire -> execute -> complete loop against
+  it, in-process with ``workers=1`` or on a ``multiprocessing`` pool.
+  The lease table is the only shard scheduler in the repo: it appends
+  each completed shard to the JSONL checkpoint, re-leases failed shards
+  within the retry budget, records shards that still fail as structured
+  :class:`ShardFailure` records instead of aborting the campaign, skips
+  every checkpointed shard on ``resume=True``, and merges the records
+  back into sweep order — the same rules a ``repro worker`` fleet runs
+  under;
+* :func:`execute_shard` is the one shard attempt, shared by the
+  in-process loop, pool workers, and remote fleet workers.
 
 Because every experiment unit is a deterministic function of the spec's
 seed (benches rebuild identically from :mod:`repro.rng` streams and each
-probe starts from ``fresh_experiment``), the merged record list — shards
-sorted back into sweep order — is identical to a sequential
+probe starts from ``fresh_experiment``), the merged record list is
+identical to a sequential
 :func:`~repro.characterization.campaign.run_campaign` with the same spec.
 
 Workers ship their spans and metrics back over the result queue; the
 parent folds them into its own observer, so a parallel campaign still
-produces one merged trace, one metrics snapshot, and unified progress
-("shards 37/120, 2 retried").  See ``docs/CAMPAIGNS.md``.
+produces one merged trace, one metrics snapshot, and unified progress.
+See ``docs/CAMPAIGNS.md``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import multiprocessing
 import threading
 import time
 import traceback
-from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -80,6 +85,9 @@ CHECKPOINT_SCHEMA_VERSION = 1
 #: Retry backoff ceiling in seconds.
 _BACKOFF_CAP_S = 2.0
 
+#: Worker id the engine's own loop leases its shards under.
+_ENGINE_WORKER = "engine"
+
 
 # ----------------------------------------------------------------------
 # sharding
@@ -117,7 +125,7 @@ class ShardFailure:
 
 @dataclass
 class EngineResult:
-    """Outcome of one engine run."""
+    """Outcome of one engine run (or one closed lease-table job)."""
 
     records: list
     failures: list[ShardFailure]
@@ -126,6 +134,9 @@ class EngineResult:
     shards_resumed: int
     retries: int
     interrupted: bool = False
+    #: ``(spans, metrics_snapshot, granted_tracer_s)`` batches from
+    #: observing fleet workers, in acceptance order, for trace merging.
+    trace_batches: list[tuple[list, dict, float]] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -270,6 +281,20 @@ class _ShardOutcome:
     metrics: dict = field(default_factory=dict)
     profile_counts: dict = field(default_factory=dict)
 
+    def shard_line(self) -> dict:
+        """The checkpoint shard-line fields (also the completion body's)."""
+        return {
+            "shard_id": self.shard.shard_id,
+            "seed": self.shard.seed,
+            "attempt": self.attempt,
+            "elapsed_s": self.elapsed_s,
+            "flips": self.flips,
+            "units": [
+                {"unit": unit_index, "record": dataclasses.asdict(record)}
+                for unit_index, record in self.units
+            ],
+        }
+
 
 #: Per-worker state, keyed by spec JSON: the runner's benches persist
 #: across the shards a worker executes, like a Bender setup that keeps
@@ -320,48 +345,70 @@ def _process_context(
     return state
 
 
-def _execute_shard(task: _ShardTask) -> _ShardOutcome:
-    """Pool-worker entry point: run one shard attempt, never raise."""
-    if task.backoff_s > 0.0:
-        time.sleep(task.backoff_s)
-    spec = CampaignSpec.from_json(task.spec_json)
-    runner, observer = _process_context(
-        task.spec_json, task.observe, task.trace_header
-    )
-    profiler = SamplingProfiler() if task.profile else None
+def _attempt_shard(
+    runner: CharacterizationRunner,
+    spec: CampaignSpec,
+    shard: ShardSpec,
+    observer: Observer,
+    attempt: int,
+    fault_hook: Callable[[ShardSpec, int], None] | None,
+    backoff_s: float,
+) -> _ShardOutcome:
+    """One shard attempt after its retry backoff; never raises.
+
+    A failure comes back as a structured outcome with the error and its
+    traceback, which the lease table keeps in the permanent
+    :class:`ShardFailure` once the retry budget is spent.
+    """
+    if backoff_s > 0.0:
+        time.sleep(backoff_s)
     start = monotonic_s()
     try:
-        if profiler is not None:
-            profiler.start()
         units, flips = _run_shard_units(
-            runner, spec, task.shard, observer, fault_hook=_FAULT_HOOK,
-            attempt=task.attempt,
+            runner, spec, shard, observer, fault_hook=fault_hook, attempt=attempt
         )
     except Exception as error:  # surfaced as a structured failure upstream
         return _ShardOutcome(
-            shard=task.shard,
-            attempt=task.attempt,
+            shard=shard,
+            attempt=attempt,
             ok=False,
             units=[],
             flips=0,
             elapsed_s=monotonic_s() - start,
             error=f"{type(error).__name__}: {error}",
             traceback_text=traceback.format_exc(),
-            spans=observer.tracer.drain(),
-            metrics=observer.metrics.drain() if observer.metrics.enabled else {},
-            profile_counts=profiler.stop().counts if profiler is not None else {},
         )
     return _ShardOutcome(
-        shard=task.shard,
-        attempt=task.attempt,
+        shard=shard,
+        attempt=attempt,
         ok=True,
         units=units,
         flips=flips,
         elapsed_s=monotonic_s() - start,
-        spans=observer.tracer.drain(),
-        metrics=observer.metrics.drain() if observer.metrics.enabled else {},
-        profile_counts=profiler.stop().counts if profiler is not None else {},
     )
+
+
+def _execute_shard(task: _ShardTask) -> _ShardOutcome:
+    """Pool-worker entry point: run one shard attempt, never raise."""
+    runner, observer = _process_context(
+        task.spec_json, task.observe, task.trace_header
+    )
+    profiler = SamplingProfiler() if task.profile else None
+    if profiler is not None:
+        profiler.start()
+    outcome = _attempt_shard(
+        runner,
+        CampaignSpec.from_json(task.spec_json),
+        task.shard,
+        observer,
+        task.attempt,
+        _FAULT_HOOK,
+        task.backoff_s,
+    )
+    outcome.spans = observer.tracer.drain()
+    outcome.metrics = observer.metrics.drain() if observer.metrics.enabled else {}
+    outcome.profile_counts = profiler.stop().counts if profiler is not None else {}
+    return outcome
 
 
 def execute_shard(
@@ -489,15 +536,6 @@ class CampaignCheckpoint:
         atomic_write_text(self.path, "\n".join(normalized) + "\n")
         return dict(self._completed)
 
-    def completed_units(self, payload: dict) -> tuple[list, int]:
-        """Rebuild a shard line's ``[(unit_index, record)]`` and flips."""
-        experiment = registry.get(self.spec.experiment)
-        units = [
-            (entry["unit"], experiment.record_type(**entry["record"]))
-            for entry in payload["units"]
-        ]
-        return units, payload.get("flips", 0)
-
     # -- writing -------------------------------------------------------
 
     def start(self) -> None:
@@ -515,31 +553,16 @@ class CampaignCheckpoint:
         atomic_write_text(self.path, header + "\n")
 
     def record_shard(self, outcome: _ShardOutcome) -> None:
-        """Append one completed shard."""
-        self._append(
-            json.dumps(
-                {
-                    "kind": "shard",
-                    "shard_id": outcome.shard.shard_id,
-                    "seed": outcome.shard.seed,
-                    "attempt": outcome.attempt,
-                    "elapsed_s": outcome.elapsed_s,
-                    "flips": outcome.flips,
-                    "units": [
-                        {"unit": unit_index, "record": dataclasses.asdict(record)}
-                        for unit_index, record in outcome.units
-                    ],
-                }
-            )
-        )
+        """Append one completed shard outcome."""
+        self.record_shard_payload(outcome.shard_line())
 
     def record_shard_payload(self, payload: dict) -> None:
         """Append a completed shard already in wire/checkpoint line form.
 
-        The fleet completion payload (see :mod:`repro.fleet.leases`) uses
-        exactly the checkpoint shard-line schema, so an accepted upload
-        appends verbatim — what a resumed run reads is byte-for-byte what
-        the worker reported.
+        The completion payload the lease table accepts (see
+        :mod:`repro.fleet.leases`) uses exactly the checkpoint shard-line
+        schema, so an accepted shard appends verbatim — what a resumed
+        run reads is byte-for-byte what the worker reported.
         """
         self._append(json.dumps({"kind": "shard", **payload}))
 
@@ -601,25 +624,28 @@ def run_engine(
     for a fully successful run they equal
     :func:`~repro.characterization.campaign.run_campaign` on the same
     spec.  ``fault_hook`` is a test-only failure injector called at the
-    start of every shard attempt.
+    start of every shard attempt.  Those scheduling rules belong to the
+    lease table the run goes through (see the module docstring).
 
     ``stop_check`` is the graceful-drain hook (used by ``repro serve``'s
-    SIGTERM handling): it is polled between shards, and once it returns
-    True no further shards start — in-flight shards finish and
-    checkpoint, and the result comes back with ``interrupted=True`` so a
-    later ``resume=True`` run completes the remainder.
+    SIGTERM handling): it is polled before each shard attempt starts,
+    and once it returns True no further attempts start — in-flight
+    shards finish and checkpoint, and the result comes back with
+    ``interrupted=True`` so a later ``resume=True`` run completes the
+    remainder.
 
     ``profiler`` (a started :class:`~repro.obs.SamplingProfiler`, usually
     the CLI's) extends sampling into pool workers: each shard attempt is
     sampled in-process and the collapsed counts are folded back into the
     caller's profiler, so a parallel campaign still yields one profile.
     """
+    # Imported here because the lease table imports this module.
+    from repro.fleet.leases import LeaseManager, outcome_to_payload
+
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     obs = observer or NULL_OBSERVER
-    experiment = registry.get(spec.experiment)
     shards = plan_shards(spec, shard_size)
-    points = len(experiment.sweep_values(spec))
 
     ckpt: CampaignCheckpoint | None = None
     resumed: dict[str, dict] = {}
@@ -632,20 +658,53 @@ def run_engine(
     elif resume:
         raise ValueError("resume=True requires a checkpoint path")
 
-    all_units: list = []
-    failures: list[ShardFailure] = []
-    retries = 0
-    flips_total = 0
-    shards_done = 0
-    interrupted = False
-
-    def stopping() -> bool:
-        return stop_check is not None and stop_check()
-
-    obs.progress.start(
-        total=len(spec.module_ids) * spec.sites_per_module * points,
-        label=f"campaign:{spec.name}",
+    spec_json = spec.to_json()
+    table = LeaseManager(ttl_s=math.inf, max_retries=max_retries)
+    table.open_job(
+        spec.name,
+        spec_json,
+        shards,
+        resumed,
+        ckpt,
+        units_total=sum(len(shard.site_indices) for shard in shards),
     )
+    status = table.job_status(spec.name)
+    obs.progress.start(total=status.units_total, label=f"campaign:{spec.name}")
+    if status.shards_completed:
+        obs.metrics.counter("engine.shards_resumed").inc(status.shards_completed)
+        obs.progress.advance(status.units_done, flips=status.flips)
+        logger.info(
+            "resumed %d/%d shards from %s",
+            status.shards_completed,
+            len(shards),
+            checkpoint,
+        )
+
+    def next_grant():
+        """The next shard attempt to start, or None (drained or no work)."""
+        if stop_check is not None and stop_check():
+            return None
+        grants = table.acquire(_ENGINE_WORKER)
+        return grants[0] if grants else None
+
+    def backoff_s(grant) -> float:
+        return _backoff_s(retry_backoff_s, grant.attempt, grant.shard.seed)
+
+    def settle(grant, outcome: _ShardOutcome) -> None:
+        done = table.complete(
+            grant.lease_id, _ENGINE_WORKER, grant.epoch, outcome_to_payload(outcome)
+        )
+        if done.checkpoint_append is not None:
+            done.checkpoint_append()
+        if done.outcome == "accepted":
+            obs.metrics.counter("engine.shards").inc()
+            obs.metrics.histogram("engine.shard_seconds").record(outcome.elapsed_s)
+            obs.progress.advance(len(outcome.units), flips=outcome.flips)
+        elif done.outcome == "retry":
+            obs.metrics.counter("engine.retries").inc()
+        else:
+            obs.metrics.counter("engine.shard_failures").inc()
+
     with obs.span(
         "campaign.run",
         campaign=spec.name,
@@ -653,63 +712,6 @@ def run_engine(
         engine=f"workers={workers}",
         shards=len(shards),
     ) as campaign_span:
-        pending: list[ShardSpec] = []
-        resumed_count = 0
-        for shard in shards:
-            payload = resumed.get(shard.shard_id)
-            if payload is None:
-                pending.append(shard)
-                continue
-            units, flips = ckpt.completed_units(payload)
-            all_units.extend(units)
-            flips_total += flips
-            shards_done += 1
-            resumed_count += 1
-            obs.metrics.counter("engine.shards_resumed").inc()
-            obs.progress.advance(len(units), flips=flips)
-        if resumed_count:
-            logger.info(
-                "resumed %d/%d shards from %s", resumed_count, len(shards), ckpt.path
-            )
-
-        def finalize(outcome: _ShardOutcome) -> None:
-            nonlocal shards_done, flips_total
-            shards_done += 1
-            flips_total += outcome.flips
-            all_units.extend(outcome.units)
-            if ckpt is not None:
-                ckpt.record_shard(outcome)
-            obs.metrics.counter("engine.shards").inc()
-            obs.metrics.histogram("engine.shard_seconds").record(outcome.elapsed_s)
-            obs.progress.advance(len(outcome.units), flips=outcome.flips)
-            logger.info(
-                "shards %d/%d, %d retried%s",
-                shards_done,
-                len(shards),
-                retries,
-                f", {len(failures)} failed" if failures else "",
-            )
-
-        def fail(shard: ShardSpec, attempts: int, error: str, tb: str) -> None:
-            nonlocal shards_done
-            shards_done += 1
-            failure = ShardFailure(
-                shard_id=shard.shard_id,
-                attempts=attempts,
-                error=error,
-                traceback=tb,
-            )
-            failures.append(failure)
-            if ckpt is not None:
-                ckpt.record_failure(failure)
-            obs.metrics.counter("engine.shard_failures").inc()
-            logger.error(
-                "shard %s failed permanently after %d attempts: %s",
-                shard.shard_id,
-                attempts,
-                error,
-            )
-
         if workers == 1:
             runner = CharacterizationRunner(
                 module_ids=list(spec.module_ids),
@@ -717,172 +719,82 @@ def run_engine(
                 seed=spec.seed,
                 observer=obs,
             )
-            for shard in pending:
-                if stopping():
-                    interrupted = True
-                    break
-                attempt = 0
-                while True:
-                    start = monotonic_s()
-                    try:
-                        units, flips = _run_shard_units(
-                            runner, spec, shard, obs,
-                            fault_hook=fault_hook, attempt=attempt,
-                        )
-                    except Exception as error:
-                        if attempt >= max_retries:
-                            fail(
-                                shard,
-                                attempt + 1,
-                                f"{type(error).__name__}: {error}",
-                                traceback.format_exc(),
-                            )
-                            break
-                        if stopping():
-                            # Drain: leave the shard unfinished (it is
-                            # not checkpointed, so resume re-runs it).
-                            interrupted = True
-                            break
-                        attempt += 1
-                        retries += 1
-                        obs.metrics.counter("engine.retries").inc()
-                        backoff = _backoff_s(retry_backoff_s, attempt, shard.seed)
-                        logger.warning(
-                            "shard %s attempt %d failed (%s); retrying in %.2fs",
-                            shard.shard_id,
-                            attempt,
-                            error,
-                            backoff,
-                        )
-                        if backoff > 0.0:
-                            time.sleep(backoff)
-                        continue
-                    finalize(
-                        _ShardOutcome(
-                            shard=shard,
-                            attempt=attempt,
-                            ok=True,
-                            units=units,
-                            flips=flips,
-                            elapsed_s=monotonic_s() - start,
-                        )
-                    )
-                    break
-        elif pending:
-            spec_json = spec.to_json()
+            while (grant := next_grant()) is not None:
+                settle(
+                    grant,
+                    _attempt_shard(
+                        runner, spec, grant.shard, obs, grant.attempt,
+                        fault_hook, backoff_s(grant),
+                    ),
+                )
+        elif status.shards_pending:
             observe = obs.enabled
             campaign_context = campaign_span.context() if observe else None
             trace_header = (
                 campaign_context.to_header() if campaign_context is not None else None
             )
+            pool_size = min(workers, status.shards_pending)
             with ProcessPoolExecutor(
-                max_workers=min(workers, len(pending)),
+                max_workers=pool_size,
                 mp_context=_pool_context(),
                 initializer=_init_worker,
                 initargs=(fault_hook,),
             ) as pool:
-                dispatched_at: dict[str, float] = {}
-
-                def submit(shard: ShardSpec, attempt: int) -> object:
-                    dispatched_at[shard.shard_id] = obs.tracer.now_s()
-                    return pool.submit(
-                        _execute_shard,
-                        _ShardTask(
-                            spec_json=spec_json,
-                            shard=shard,
-                            attempt=attempt,
-                            observe=observe,
-                            backoff_s=_backoff_s(
-                                retry_backoff_s, attempt, shard.seed
-                            ),
-                            trace_header=trace_header,
-                            profile=profiler is not None,
-                        ),
-                    )
-
-                # Shards are dispatched incrementally (a window of two
-                # per worker) rather than all upfront, so a drain
-                # request stops the queue promptly: only the in-flight
-                # window still completes.
-                backlog = deque(pending)
-                window = 2 * min(workers, len(pending))
-                futures: set = set()
+                # future -> (grant, dispatch instant on the parent tracer)
+                in_flight: dict = {}
 
                 def pump() -> None:
-                    nonlocal interrupted
-                    while backlog and len(futures) < window:
-                        if stopping():
-                            interrupted = True
-                            backlog.clear()
-                            break
-                        futures.add(submit(backlog.popleft(), 0))
+                    # A window of two shards per worker rather than all
+                    # upfront, so a drain request stops the queue
+                    # promptly: only the in-flight window still completes.
+                    while len(in_flight) < 2 * pool_size and (
+                        grant := next_grant()
+                    ) is not None:
+                        task = _ShardTask(
+                            spec_json=spec_json,
+                            shard=grant.shard,
+                            attempt=grant.attempt,
+                            observe=observe,
+                            backoff_s=backoff_s(grant),
+                            trace_header=trace_header,
+                            profile=profiler is not None,
+                        )
+                        future = pool.submit(_execute_shard, task)
+                        in_flight[future] = (grant, obs.tracer.now_s())
 
                 pump()
-                while futures:
-                    done, futures = wait(futures, return_when=FIRST_COMPLETED)
+                while in_flight:
+                    done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
                     for future in done:
+                        grant, dispatched_s = in_flight.pop(future)
                         outcome = future.result()
                         if observe:
                             obs.tracer.ingest(
                                 outcome.spans,
                                 parent=campaign_span,
-                                shift_s=dispatched_at.get(
-                                    outcome.shard.shard_id, 0.0
-                                ),
+                                shift_s=dispatched_s,
                             )
                             obs.metrics.merge_snapshot(outcome.metrics)
                         if profiler is not None and outcome.profile_counts:
                             profiler.merge_counts(outcome.profile_counts)
-                        if outcome.ok:
-                            finalize(outcome)
-                        elif outcome.attempt >= max_retries:
-                            fail(
-                                outcome.shard,
-                                outcome.attempt + 1,
-                                outcome.error or "unknown error",
-                                outcome.traceback_text or "",
-                            )
-                        elif stopping():
-                            # Drain: drop the retry; the shard is not
-                            # checkpointed, so resume re-runs it.
-                            interrupted = True
-                        else:
-                            retries += 1
-                            obs.metrics.counter("engine.retries").inc()
-                            logger.warning(
-                                "shard %s attempt %d failed (%s); retrying",
-                                outcome.shard.shard_id,
-                                outcome.attempt + 1,
-                                outcome.error,
-                            )
-                            futures.add(
-                                submit(outcome.shard, outcome.attempt + 1)
-                            )
+                        settle(grant, outcome)
                     pump()
 
-        all_units.sort(key=lambda unit: unit[0])
+        result = table.close_job(spec.name)
         campaign_span.set(
-            records=len(all_units),
-            shards=len(shards),
-            resumed=resumed_count,
-            retries=retries,
-            failures=len(failures),
-            interrupted=interrupted,
+            records=len(result.records),
+            shards=result.shards_total,
+            resumed=result.shards_resumed,
+            retries=result.retries,
+            failures=len(result.failures),
+            interrupted=result.interrupted,
         )
     obs.progress.finish()
-    if interrupted:
+    if result.interrupted:
         logger.info(
             "campaign %s drained after %d/%d shards; resume to finish",
             spec.name,
-            shards_done,
-            len(shards),
+            result.shards_resumed + result.shards_run + len(result.failures),
+            result.shards_total,
         )
-    return EngineResult(
-        records=[record for _, record in all_units],
-        failures=failures,
-        shards_total=len(shards),
-        shards_run=shards_done - resumed_count - len(failures),
-        shards_resumed=resumed_count,
-        retries=retries,
-        interrupted=interrupted,
-    )
+    return result

@@ -1,11 +1,16 @@
 """Distributed worker fleet: wire-level shard leasing over the service.
 
-The campaign engine already decomposes a run into deterministic,
+The campaign engine decomposes a run into deterministic,
 independently-seeded shards; :mod:`repro.fleet` promotes that shard to
-a network work unit.  The server side (:mod:`repro.fleet.leases`) leases
-shards to pull-based workers with TTLs and fencing epochs; the worker
-side (:mod:`repro.fleet.worker`) is the ``repro worker`` process.  See
+a network work unit.  The lease table (:mod:`repro.fleet.leases`)
+schedules shards for every campaign — in-process for
+:func:`~repro.characterization.engine.run_engine`, and over HTTP with
+TTLs and fencing epochs for pull-based workers; the worker side
+(:mod:`repro.fleet.worker`) is the ``repro worker`` process.  See
 ``docs/FLEET.md`` for the protocol walkthrough and failure matrix.
+
+Importing the package loads only the lease table, not the worker: the
+worker pulls in the service client stack, which the engine must not.
 """
 
 from __future__ import annotations
@@ -13,7 +18,6 @@ from __future__ import annotations
 from repro.fleet.leases import (
     CompletionResult,
     FencingViolation,
-    FleetJobResult,
     FleetJobStatus,
     LeaseError,
     LeaseGrant,
@@ -23,7 +27,6 @@ from repro.fleet.leases import (
     shard_from_payload,
     shard_to_payload,
 )
-from repro.fleet.worker import FleetWorker, WorkerStats, default_worker_id
 
 __all__ = [
     "LeaseManager",
@@ -33,10 +36,6 @@ __all__ = [
     "FencingViolation",
     "CompletionResult",
     "FleetJobStatus",
-    "FleetJobResult",
-    "FleetWorker",
-    "WorkerStats",
-    "default_worker_id",
     "shard_to_payload",
     "shard_from_payload",
     "outcome_to_payload",

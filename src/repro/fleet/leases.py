@@ -1,10 +1,14 @@
-"""Server-side shard leasing: TTL leases, fencing epochs, reassignment.
+"""The shard lease table: the one scheduler every campaign runs through.
 
 The campaign engine's shard — one (module x site-block x sweep-point)
-cell with a deterministic seed — is already an independent, restartable
-unit of work.  This module promotes it to a *wire-level* work item: a
-:class:`LeaseManager` owns the shard tables of every fleet-backend job
-and hands shards to pull-based workers as **leases**.
+cell with a deterministic seed — is an independent, restartable unit of
+work.  A :class:`LeaseManager` owns the shard tables of open jobs and
+hands shards out as **leases**: over HTTP to pull-based ``repro worker``
+processes for the service's fleet backend, and in-process (no HTTP,
+infinite TTL) to :func:`~repro.characterization.engine.run_engine`'s
+own loop.  Either way the table alone decides what runs next, when a
+failed shard retries or fails permanently, what a resumed run skips,
+and the sweep order the results come back in.
 
 The protocol invariants (exercised by ``tests/test_fleet_leases.py``):
 
@@ -27,17 +31,22 @@ worker ran it is irrelevant to the bytes of the merged result — the
 lease protocol only has to guarantee exactly-once accounting, not
 determinism.  All methods are synchronous and single-threaded by
 contract (the service calls them on its event loop, like
-:class:`~repro.service.jobs.JobManager`); time is injected so tests
-drive expiry with a fake clock.
+:class:`~repro.service.jobs.JobManager`; the engine from its one
+scheduling thread); time is injected so tests drive expiry with a fake
+clock.
 """
 
 from __future__ import annotations
 
+import heapq
+import json
 from dataclasses import dataclass, field
 from typing import Callable
 
+from repro.characterization import registry
 from repro.characterization.engine import (
     CampaignCheckpoint,
+    EngineResult,
     ShardFailure,
     ShardSpec,
 )
@@ -50,7 +59,6 @@ __all__ = [
     "LeaseGrant",
     "CompletionResult",
     "FleetJobStatus",
-    "FleetJobResult",
     "LeaseManager",
     "shard_to_payload",
     "shard_from_payload",
@@ -119,26 +127,18 @@ def outcome_to_payload(outcome) -> dict:
     """Completion body for one ``engine.execute_shard`` outcome.
 
     The success keys (``shard_id``/``seed``/``attempt``/``elapsed_s``/
-    ``flips``/``units``) deliberately mirror the engine's checkpoint
-    shard-line schema, so the server can append an accepted upload to
-    the job checkpoint verbatim.  ``spans``/``metrics`` ride along only
-    when the worker observed (they merge into the service trace and are
-    never checkpointed).
+    ``flips``/``units``) are the engine's checkpoint shard-line schema,
+    so the table can append an accepted upload to the job checkpoint
+    verbatim.  A failed attempt carries its ``error`` and
+    ``traceback``, which land in the permanent failure record.
+    ``spans``/``metrics`` ride along only when the worker observed (they
+    merge into the service trace and are never checkpointed).
     """
-    import dataclasses
-
     return {
         "ok": outcome.ok,
         "error": outcome.error,
-        "shard_id": outcome.shard.shard_id,
-        "seed": outcome.shard.seed,
-        "attempt": outcome.attempt,
-        "elapsed_s": outcome.elapsed_s,
-        "flips": outcome.flips,
-        "units": [
-            {"unit": unit_index, "record": dataclasses.asdict(record)}
-            for unit_index, record in outcome.units
-        ],
+        "traceback": outcome.traceback_text,
+        **outcome.shard_line(),
         "spans": outcome.spans,
         "metrics": outcome.metrics,
     }
@@ -197,11 +197,13 @@ class CompletionResult:
     """What :meth:`LeaseManager.complete` decided about one upload."""
 
     #: ``"accepted"`` (first completion), ``"duplicate"`` (idempotent
-    #: re-upload of a completed shard), or ``"retry"`` (a reported
-    #: failure that will be re-leased).
+    #: re-upload of a completed shard), ``"retry"`` (a reported failure
+    #: that will be re-leased), or ``"failed"`` (the retry budget is
+    #: spent; the shard failed permanently).
     outcome: str
-    #: Set on ``"accepted"``: call it off the event loop to append the
-    #: shard to the job's engine checkpoint (at most once per shard).
+    #: Set on ``"accepted"`` and ``"failed"`` when the job has a
+    #: checkpoint: call it off the event loop to append the shard (or
+    #: failure) line to the job's engine checkpoint (at most once).
     checkpoint_append: Callable[[], None] | None = None
     #: Set on ``"accepted"``: the owning job and the checkpoint shard
     #: line, so the HTTP layer can stream the shard into the result
@@ -213,7 +215,7 @@ class CompletionResult:
 
 @dataclass(frozen=True)
 class FleetJobStatus:
-    """Progress snapshot of one fleet job (for events/dashboard)."""
+    """Progress snapshot of one open job (for events/dashboard)."""
 
     units_done: int
     units_total: int
@@ -227,20 +229,6 @@ class FleetJobStatus:
     def settled(self) -> bool:
         """No shard is pending or leased: the job can be closed."""
         return self.shards_pending == 0 and self.shards_leased == 0
-
-
-@dataclass
-class FleetJobResult:
-    """Everything :meth:`LeaseManager.close_job` hands the supervisor."""
-
-    records: list
-    failures: list[ShardFailure]
-    shards_completed: int
-    shards_resumed: int
-    flips: int
-    #: ``(spans, metrics_snapshot, granted_tracer_s)`` batches from
-    #: observing workers, in acceptance order, for trace/metric merging.
-    trace_batches: list[tuple[list, dict, float]]
 
 
 @dataclass
@@ -260,19 +248,23 @@ class _ShardSlot:
 
 @dataclass
 class _FleetJob:
-    """One open fleet-backend job inside the manager."""
+    """One open job inside the manager."""
 
     job_id: str
     spec_json: str
-    checkpoint: CampaignCheckpoint
+    record_type: type
+    checkpoint: CampaignCheckpoint | None
     slots: dict[str, _ShardSlot]
-    order: list[str]
     units_total: int
+    #: Heap of ``(plan index, shard id)`` of the pending slots, so grants
+    #: go out in plan order without rescanning finished shards.
+    pending: list[tuple[int, str]] = field(default_factory=list)
+    leased: dict[str, _ShardSlot] = field(default_factory=dict)
+    completed: int = 0
+    retries: int = 0
     units: list = field(default_factory=list)
     failures: list[ShardFailure] = field(default_factory=list)
     flips: int = 0
-    units_resumed: int = 0
-    flips_resumed: int = 0
     shards_resumed: int = 0
     observe: bool = False
     trace_parent: str | None = None
@@ -284,17 +276,39 @@ class _FleetJob:
         if self.on_change is not None:
             self.on_change()
 
+    def fold(self, payload: dict) -> None:
+        """Add a checkpoint shard line's units and flips to the result."""
+        self.units.extend(
+            (entry["unit"], self.record_type(**entry["record"]))
+            for entry in payload["units"]
+        )
+        self.flips += payload.get("flips", 0)
+
+    def release(self, slot: _ShardSlot, state: str) -> None:
+        """Move a leased slot to ``state``; a pending one is re-queued.
+
+        Only a completed slot keeps its ``worker_id``: it names the
+        winner, whose network-retry re-upload stays idempotent.
+        """
+        del self.leased[slot.shard.shard_id]
+        slot.state = state
+        if state != _COMPLETED:
+            slot.worker_id = None
+        if state == _PENDING:
+            heapq.heappush(self.pending, (slot.shard.index, slot.shard.shard_id))
+
 
 class LeaseManager:
-    """Owns shard leases for every open fleet job.
+    """Owns shard leases for every open job.
 
     One instance lives inside :class:`~repro.service.server.
     CampaignService`; the HTTP handlers call :meth:`acquire`,
     :meth:`heartbeat`, and :meth:`complete` on the event loop, and the
     :class:`~repro.service.jobs.JobSupervisor` opens/closes jobs around
-    them.  ``clock`` defaults to the repo's monotonic single-clock and
-    is injectable so the protocol tests can force expiry
-    deterministically.
+    them.  :func:`~repro.characterization.engine.run_engine` runs every
+    campaign through a private instance with ``ttl_s=math.inf``.
+    ``clock`` defaults to the repo's monotonic single-clock and is
+    injectable so the protocol tests can force expiry deterministically.
     """
 
     def __init__(
@@ -326,7 +340,7 @@ class LeaseManager:
         spec_json: str,
         shards: list[ShardSpec],
         resumed: dict[str, dict],
-        checkpoint: CampaignCheckpoint,
+        checkpoint: CampaignCheckpoint | None,
         units_total: int,
         observe: bool = False,
         trace_parent: str | None = None,
@@ -338,15 +352,17 @@ class LeaseManager:
         ``resumed`` maps already-checkpointed shard ids to their
         checkpoint payloads (from :meth:`CampaignCheckpoint.load`); those
         shards are folded straight into the result and never leased.
+        With ``checkpoint=None`` accepted shards and failures are kept
+        in memory only.
         """
         if job_id in self._jobs:
             raise ValueError(f"fleet job {job_id} is already open")
         job = _FleetJob(
             job_id=job_id,
             spec_json=spec_json,
+            record_type=registry.get(json.loads(spec_json)["experiment"]).record_type,
             checkpoint=checkpoint,
             slots={},
-            order=[],
             units_total=units_total,
             observe=observe,
             trace_parent=trace_parent,
@@ -356,19 +372,16 @@ class LeaseManager:
         for shard in shards:
             payload = resumed.get(shard.shard_id)
             if payload is not None:
-                units, flips = checkpoint.completed_units(payload)
-                job.units.extend(units)
-                job.flips += flips
-                job.units_resumed += len(units)
-                job.flips_resumed += flips
+                job.fold(payload)
                 job.shards_resumed += 1
                 continue
             job.slots[shard.shard_id] = _ShardSlot(shard=shard)
-            job.order.append(shard.shard_id)
+            job.pending.append((shard.index, shard.shard_id))
+        heapq.heapify(job.pending)
         self._jobs[job_id] = job
         self._update_gauges()
         logger.info(
-            "fleet job %s opened: %d leasable shard(s), %d resumed",
+            "job %s opened: %d leasable shard(s), %d resumed",
             job_id,
             len(job.slots),
             job.shards_resumed,
@@ -379,26 +392,25 @@ class LeaseManager:
         """Progress counts for one open job."""
         job = self._jobs[job_id]
         self._expire_scan()
-        states: dict[str, int] = {}
-        for slot in job.slots.values():
-            states[slot.state] = states.get(slot.state, 0) + 1
         return FleetJobStatus(
             units_done=len(job.units),
             units_total=job.units_total,
             flips=job.flips,
-            shards_pending=states.get(_PENDING, 0),
-            shards_leased=states.get(_LEASED, 0),
-            shards_completed=states.get(_COMPLETED, 0) + job.shards_resumed,
-            shards_failed=states.get(_FAILED, 0),
+            shards_pending=len(job.pending),
+            shards_leased=len(job.leased),
+            shards_completed=job.completed + job.shards_resumed,
+            shards_failed=len(job.failures),
         )
 
-    def close_job(self, job_id: str) -> FleetJobResult:
+    def close_job(self, job_id: str) -> EngineResult:
         """Remove a settled (or abandoned) job and return its results.
 
-        Outstanding leases die with the job: later heartbeats and
-        completions for them answer :class:`UnknownLease` and the
-        workers discard their local results (the checkpoint already
-        holds every accepted shard, so nothing is lost).
+        Records come back in sequential sweep order.  A job closed with
+        shards still pending or leased is ``interrupted``: outstanding
+        leases die with it, so later heartbeats and completions answer
+        :class:`UnknownLease` and the workers discard their local
+        results (the checkpoint already holds every accepted shard, so
+        nothing is lost).
         """
         job = self._jobs.pop(job_id)
         for lease_id in [
@@ -409,14 +421,14 @@ class LeaseManager:
             del self._leases[lease_id]
         job.units.sort(key=lambda unit: unit[0])
         self._update_gauges()
-        return FleetJobResult(
+        return EngineResult(
             records=[record for _, record in job.units],
             failures=list(job.failures),
-            shards_completed=sum(
-                1 for slot in job.slots.values() if slot.state == _COMPLETED
-            ),
+            shards_total=len(job.slots) + job.shards_resumed,
+            shards_run=job.completed,
             shards_resumed=job.shards_resumed,
-            flips=job.flips,
+            retries=job.retries,
+            interrupted=bool(job.pending or job.leased),
             trace_batches=list(job.trace_batches),
         )
 
@@ -440,15 +452,13 @@ class LeaseManager:
         self._expire_scan(now)
         grants: list[LeaseGrant] = []
         for job in self._jobs.values():
-            for shard_id in job.order:
-                if len(grants) >= max_shards:
-                    break
+            while job.pending and len(grants) < max_shards:
+                _, shard_id = heapq.heappop(job.pending)
                 slot = job.slots[shard_id]
-                if slot.state != _PENDING:
-                    continue
                 reassigned = slot.epoch > 0
                 slot.epoch += 1
                 slot.state = _LEASED
+                job.leased[shard_id] = slot
                 slot.worker_id = worker_id
                 slot.deadline_s = now + self.ttl_s
                 slot.granted_s = now
@@ -474,8 +484,6 @@ class LeaseManager:
                         trace_parent=job.trace_parent,
                     )
                 )
-            if len(grants) >= max_shards:
-                break
         self._update_gauges()
         return grants
 
@@ -519,8 +527,9 @@ class LeaseManager:
           zombie uploading a shard another worker already won -> raises
           :class:`FencingViolation` (the upload is discarded);
         * reported failure under a valid lease -> ``"retry"`` until the
-          engine's retry budget is spent, then a permanent
-          :class:`ShardFailure`;
+          retry budget (``max_retries``) is spent, then ``"failed"``: a
+          permanent :class:`ShardFailure` carrying the worker's error
+          and traceback;
         * success under a valid lease -> ``"accepted"``: units fold into
           the job and the returned ``checkpoint_append`` persists the
           shard line (call it off the event loop).
@@ -566,10 +575,9 @@ class LeaseManager:
             )
         if not payload.get("ok", False):
             return self._completion_failed(job, slot, payload)
-        units, flips = job.checkpoint.completed_units(payload)
-        slot.state = _COMPLETED  # worker_id kept: it names the winner
-        job.units.extend(units)
-        job.flips += flips
+        job.fold(payload)
+        job.release(slot, _COMPLETED)
+        job.completed += 1
         if job.observe and (payload.get("spans") or payload.get("metrics")):
             job.trace_batches.append(
                 (
@@ -587,11 +595,14 @@ class LeaseManager:
         )
         self._update_gauges()
         line = {key: payload[key] for key in _CHECKPOINT_KEYS}
-        append = job.checkpoint.record_shard_payload
         job.changed()
         return CompletionResult(
             outcome="accepted",
-            checkpoint_append=lambda: append(line),
+            checkpoint_append=(
+                None
+                if job.checkpoint is None
+                else lambda: job.checkpoint.record_shard_payload(line)
+            ),
             job_id=job.job_id,
             shard_payload=line,
         )
@@ -603,31 +614,35 @@ class LeaseManager:
         slot.attempts += 1
         error = str(payload.get("error") or "unknown error")
         if slot.attempts > self.max_retries:
-            slot.state = _FAILED
-            slot.worker_id = None
+            job.release(slot, _FAILED)
             failure = ShardFailure(
                 shard_id=slot.shard.shard_id,
                 attempts=slot.attempts,
                 error=error,
+                traceback=str(payload.get("traceback") or ""),
             )
             job.failures.append(failure)
             self.metrics.counter("fleet.shard_failures").inc()
             logger.error(
-                "fleet shard %s failed permanently after %d attempt(s): %s",
+                "shard %s failed permanently after %d attempt(s): %s",
                 slot.shard.shard_id,
                 slot.attempts,
                 error,
             )
-            append = job.checkpoint.record_failure
             job.changed()
             self._update_gauges()
             return CompletionResult(
-                outcome="failed", checkpoint_append=lambda: append(failure)
+                outcome="failed",
+                checkpoint_append=(
+                    None
+                    if job.checkpoint is None
+                    else lambda: job.checkpoint.record_failure(failure)
+                ),
             )
-        slot.state = _PENDING
-        slot.worker_id = None
+        job.release(slot, _PENDING)
+        job.retries += 1
         logger.warning(
-            "fleet shard %s attempt %d failed (%s); will re-lease",
+            "shard %s attempt %d failed (%s); will retry",
             slot.shard.shard_id,
             slot.attempts,
             error,
@@ -654,8 +669,8 @@ class LeaseManager:
         now = self.clock() if now is None else now
         expired = 0
         for job in self._jobs.values():
-            for slot in job.slots.values():
-                if slot.state == _LEASED and now > slot.deadline_s:
+            for slot in list(job.leased.values()):
+                if now > slot.deadline_s:
                     logger.warning(
                         "lease %s on shard %s (worker %s) expired; "
                         "shard returns to the pending pool",
@@ -663,8 +678,7 @@ class LeaseManager:
                         slot.shard.shard_id,
                         slot.worker_id,
                     )
-                    slot.state = _PENDING
-                    slot.worker_id = None
+                    job.release(slot, _PENDING)
                     expired += 1
         if expired:
             self.metrics.counter("fleet.leases_expired").inc(expired)
@@ -682,35 +696,23 @@ class LeaseManager:
     def stats(self) -> dict:
         """The fleet section of ``/healthz`` and the dashboard stream."""
         self._expire_scan()
-        pending = leased = completed = failed = 0
-        for job in self._jobs.values():
-            for slot in job.slots.values():
-                if slot.state == _PENDING:
-                    pending += 1
-                elif slot.state == _LEASED:
-                    leased += 1
-                elif slot.state == _COMPLETED:
-                    completed += 1
-                else:
-                    failed += 1
         self._update_gauges()
+        jobs = self._jobs.values()
         return {
             "jobs_open": len(self._jobs),
             "workers_active": self.active_workers(),
-            "shards_pending": pending,
-            "leases_outstanding": leased,
-            "shards_completed": completed,
-            "shards_failed": failed,
+            "shards_pending": sum(len(job.pending) for job in jobs),
+            "leases_outstanding": sum(len(job.leased) for job in jobs),
+            "shards_completed": sum(job.completed for job in jobs),
+            "shards_failed": sum(len(job.failures) for job in jobs),
         }
 
     def _update_gauges(self) -> None:
-        pending = leased = 0
-        for job in self._jobs.values():
-            for slot in job.slots.values():
-                if slot.state == _PENDING:
-                    pending += 1
-                elif slot.state == _LEASED:
-                    leased += 1
-        self.metrics.gauge("fleet.leases_outstanding").set(leased)
-        self.metrics.gauge("fleet.shards_pending").set(pending)
+        jobs = self._jobs.values()
+        self.metrics.gauge("fleet.leases_outstanding").set(
+            sum(len(job.leased) for job in jobs)
+        )
+        self.metrics.gauge("fleet.shards_pending").set(
+            sum(len(job.pending) for job in jobs)
+        )
         self.metrics.gauge("fleet.workers_active").set(self.active_workers())

@@ -10,11 +10,15 @@ Jobs are content-addressed: the job id *is* the result-store key of the
 spec, so resubmitting an identical (spec, seed, modules) campaign lands
 on the same job — deduplicated while in flight, served from the result
 cache once done.  Every state change persists the job's JSON record
-under ``<data_dir>/jobs/``, and the supervisor runs jobs through
-:func:`repro.characterization.engine.run_engine` with a per-job
-checkpoint, so a service restart (or SIGTERM drain) re-enqueues
-unfinished jobs and the engine resumes them shard-by-shard instead of
-starting over.
+under ``<data_dir>/jobs/``, and the supervisor runs each job with a
+per-job engine checkpoint — through
+:func:`repro.characterization.engine.run_engine` (``local`` backend) or
+the :class:`~repro.fleet.leases.LeaseManager` (``fleet`` backend) — so
+a service restart (or SIGTERM drain) re-enqueues unfinished jobs and
+they resume shard-by-shard instead of starting over.  Both backends
+hand back the same :class:`~repro.characterization.engine.EngineResult`
+and settle through one path, which stores the results and feeds the
+warehouse from the job checkpoint.
 
 Backpressure is explicit: :meth:`JobManager.submit` raises
 :class:`RateLimited` when a client exceeds its token bucket and
@@ -34,6 +38,7 @@ from typing import Callable
 from repro.characterization.campaign import CampaignSpec
 from repro.characterization.engine import (
     CampaignCheckpoint,
+    EngineResult,
     plan_shards,
     run_engine,
 )
@@ -453,11 +458,12 @@ class JobSupervisor:
     * ``backend="fleet"`` — shards are published to the
       :class:`~repro.fleet.leases.LeaseManager` and pulled over HTTP by
       ``repro worker`` processes; the supervisor just watches progress
-      and settles the job when every shard is accounted for.
+      and closes the job when every shard is accounted for.
 
-    The ``draining`` callable doubles as the engine's ``stop_check`` (and
-    the fleet loop's), so a SIGTERM stops the current job at the next
-    shard boundary with its checkpoint intact.
+    Both start from the same checkpoint rule and end in the same
+    :meth:`_settle`.  The ``draining`` callable doubles as the engine's
+    ``stop_check`` (and the fleet loop's), so a SIGTERM stops the
+    current job at the next shard boundary with its checkpoint intact.
     """
 
     def __init__(
@@ -488,15 +494,15 @@ class JobSupervisor:
         self.backend = backend
         self.lease_manager = lease_manager
         #: Optional :class:`repro.warehouse.Warehouse`.  Completed jobs
-        #: are indexed under their job id (== result-store key): the
-        #: local backend ingests the full record set when a job settles,
-        #: the fleet backend streams shards as completions arrive (see
-        #: the HTTP layer) and catches up + finalizes here.  The
+        #: are indexed under their job id (== result-store key) from the
+        #: job checkpoint when the job settles; the fleet backend also
+        #: streams shards as completions arrive (see the HTTP layer),
+        #: and the settle catch-up skips those by shard provenance.  The
         #: warehouse is derived state — ingest failures are logged,
         #: never fail the job, and ``repro warehouse rebuild`` heals.
         self.warehouse = warehouse
         #: Shared with the HTTP layer: accepted-completion checkpoint
-        #: appends hold it, and :meth:`_run_job_fleet` takes it before
+        #: appends hold it, and :meth:`_run_fleet` takes it before
         #: closing a job so a close never races an in-flight append.
         self.checkpoint_lock = (
             checkpoint_lock if checkpoint_lock is not None else asyncio.Lock()
@@ -532,66 +538,174 @@ class JobSupervisor:
         self._record_state_duration(job)
         job.set_state(state, **extra)
 
+    def _open_checkpoint(
+        self, job: Job
+    ) -> tuple[CampaignCheckpoint, dict[str, dict]]:
+        """The job's checkpoint and its completed shards (worker thread).
+
+        One rule for both backends: a checkpoint this run cannot resume
+        (written under another shard size or schema) is logged and
+        started fresh, so resubmitting the job never fails on it again.
+        """
+        ckpt = CampaignCheckpoint(self.checkpoint_path(job), job.spec, self.shard_size)
+        if ckpt.path.exists():
+            try:
+                return ckpt, ckpt.load()
+            except ValueError as error:
+                logger.warning(
+                    "job %s checkpoint unusable (%s); starting fresh",
+                    job.job_id,
+                    error,
+                )
+        ckpt.start()
+        return ckpt, {}
+
     async def run_job(self, job: Job) -> None:
         """Execute one job through the selected backend and settle it."""
-        if self.backend == "fleet":
-            await self._run_job_fleet(job)
+        fleet = self.backend == "fleet"
+        self._enter_state(job, RUNNING, **({"backend": "fleet"} if fleet else {}))
+        await asyncio.to_thread(self.manager.persist, job)
+        # Each job collects its trace on a private tracer parented by the
+        # submitting request's context, then folds it into the service
+        # tracer — concurrent requests never share a span stack.
+        job_tracer: Tracer | NullTracer = NullTracer()
+        trace_shift_s = 0.0
+        if self.tracer.enabled:
+            job_tracer = Tracer(context=TraceContext.from_header(job.trace_parent))
+            trace_shift_s = self.tracer.now_s()
+        started_s = monotonic_s()
+        try:
+            # The local engine re-reads the checkpoint this leaves usable.
+            ckpt, resumed = await asyncio.to_thread(self._open_checkpoint, job)
+            if fleet:
+                result = await self._run_fleet(job, ckpt, resumed, job_tracer)
+            else:
+                result = await self._run_local(job, job_tracer)
+        except Exception as error:  # job isolation boundary: never kill the loop
+            await self._fail(job, f"{type(error).__name__}: {error}")
             return
-        await self._run_job_local(job)
+        finally:
+            if self.tracer.enabled:
+                self.tracer.ingest(job_tracer.drain(), shift_s=trace_shift_s)
+        await self._settle(job, result, monotonic_s() - started_s)
 
-    async def _run_job_local(self, job: Job) -> None:
+    async def _run_local(
+        self, job: Job, job_tracer: Tracer | NullTracer
+    ) -> EngineResult:
         """Execute one job through the in-process engine."""
         loop = asyncio.get_running_loop()
-        self._enter_state(job, RUNNING)
-        await asyncio.to_thread(self.manager.persist, job)
 
         def progress_sink(event: ProgressEvent) -> None:
             # Called on the engine thread; hop onto the loop thread.
-            loop.call_soon_threadsafe(
-                job.publish,
-                {
-                    "event": "progress",
-                    "done": event.done,
-                    "total": event.total,
-                    "flips": event.flips,
-                    "elapsed_s": round(event.elapsed_s, 3),
-                    "eta_s": None if event.eta_s is None else round(event.eta_s, 3),
-                },
-            )
+            loop.call_soon_threadsafe(_publish_progress, job, event)
 
-        # Each job collects its engine trace on a private tracer parented
-        # by the submitting request's context, then folds it into the
-        # service tracer — concurrent requests never share a span stack.
-        job_tracer: Tracer | NullTracer = NullTracer()
-        if self.tracer.enabled:
-            job_tracer = Tracer(context=TraceContext.from_header(job.trace_parent))
         observer = Observer(
             metrics=self.metrics,
             tracer=job_tracer,
             progress=ProgressReporter(label=job.job_id, sink=progress_sink),
         )
-        started_s = monotonic_s()
-        trace_shift_s = self.tracer.now_s() if self.tracer.enabled else 0.0
-        try:
-            result = await asyncio.to_thread(
-                run_engine,
-                job.spec,
-                workers=self.engine_workers,
-                shard_size=self.shard_size,
-                checkpoint=self.checkpoint_path(job),
-                resume=True,
-                observer=observer,
-                stop_check=self.draining,
-            )
-        except Exception as error:  # job isolation boundary: never kill the loop
-            if self.tracer.enabled:
-                self.tracer.ingest(job_tracer.drain(), shift_s=trace_shift_s)
-            await self._fail(job, f"{type(error).__name__}: {error}")
-            return
+        return await asyncio.to_thread(
+            run_engine,
+            job.spec,
+            workers=self.engine_workers,
+            shard_size=self.shard_size,
+            checkpoint=self.checkpoint_path(job),
+            resume=True,
+            observer=observer,
+            stop_check=self.draining,
+        )
+
+    async def _run_fleet(
+        self,
+        job: Job,
+        ckpt: CampaignCheckpoint,
+        resumed: dict[str, dict],
+        job_tracer: Tracer | NullTracer,
+    ) -> EngineResult:
+        """Publish one job's shards to the fleet and wait for them.
+
+        The supervisor never executes a shard itself: it opens the job in
+        the :class:`~repro.fleet.leases.LeaseManager`, translates lease
+        activity into the same progress events the local backend emits,
+        and closes the job when every shard is completed or permanently
+        failed.  A drain closes it early, ``interrupted``, with its
+        checkpoint intact — outstanding worker uploads are fenced off and
+        a restart resumes the remaining shards.
+        """
+        assert self.lease_manager is not None  # guaranteed by __init__
+        shards = plan_shards(job.spec, self.shard_size)
+        # The fleet trace: one detached span on the job tracer covers the
+        # whole fan-out; its context header rides in every lease so worker
+        # shard spans parent under it across the wire.
+        fleet_span = None
+        trace_header = None
         if self.tracer.enabled:
-            self.tracer.ingest(job_tracer.drain(), shift_s=trace_shift_s)
-        elapsed_s = monotonic_s() - started_s
-        self.metrics.histogram("service.job_seconds").record(elapsed_s)
+            fleet_span = job_tracer.start_span(
+                "fleet.job", job=job.job_id, shards=len(shards)
+            )
+            context = fleet_span.context()
+            trace_header = context.to_header() if context is not None else None
+
+        changed = asyncio.Event()
+        units_total = sum(len(shard.site_indices) for shard in shards)
+        # Open the warehouse source before shards can complete, so the
+        # HTTP layer's streaming ingest always finds it.
+        await asyncio.to_thread(self._warehouse_open, job)
+        self.lease_manager.open_job(
+            job.job_id,
+            job.spec.to_json(),
+            shards,
+            resumed,
+            ckpt,
+            units_total=units_total,
+            observe=self.tracer.enabled,
+            trace_parent=trace_header,
+            trace_now=job_tracer.now_s if self.tracer.enabled else None,
+            on_change=changed.set,
+        )
+        progress = ProgressReporter(
+            label=job.job_id,
+            total=units_total,
+            sink=lambda event: _publish_progress(job, event),
+        )
+        status = self.lease_manager.job_status(job.job_id)
+        progress.advance(status.units_done, flips=status.flips)
+        while not (status.settled or self.draining()):
+            changed.clear()
+            try:
+                await asyncio.wait_for(changed.wait(), timeout=0.25)
+            except asyncio.TimeoutError:
+                pass
+            status = self.lease_manager.job_status(job.job_id)
+            if status.units_done != progress.done:
+                progress.advance(
+                    status.units_done - progress.done,
+                    flips=status.flips - progress.flips,
+                )
+
+        async with self.checkpoint_lock:
+            result = self.lease_manager.close_job(job.job_id)
+        if fleet_span is not None:
+            for spans, metrics_snapshot, granted_s in result.trace_batches:
+                job_tracer.ingest(spans, parent=fleet_span, shift_s=granted_s)
+                if metrics_snapshot:
+                    self.metrics.merge_snapshot(metrics_snapshot)
+            fleet_span.set(
+                shards_completed=result.shards_run,
+                shards_resumed=result.shards_resumed,
+            )
+            fleet_span.__exit__(None, None, None)
+        return result
+
+    async def _settle(
+        self, job: Job, result: EngineResult, elapsed_s: float
+    ) -> None:
+        """Finish a job either backend ran: interrupted, failed, or done.
+
+        A done job's records go to the result store, and the warehouse
+        catches its source up from the job checkpoint and finalizes it
+        before the checkpoint is unlinked.
+        """
         if result.interrupted:
             self._enter_state(job, INTERRUPTED, shards_run=result.shards_run)
             await asyncio.to_thread(self.manager.persist, job)
@@ -602,6 +716,7 @@ class JobSupervisor:
                 result.shards_run,
             )
             return
+        self.metrics.histogram("service.job_seconds").record(elapsed_s)
         if result.failures:
             first = result.failures[0]
             await self._fail(
@@ -611,7 +726,7 @@ class JobSupervisor:
             )
             return
         await asyncio.to_thread(self.manager.store.put, job.spec, result.records)
-        await asyncio.to_thread(self._warehouse_ingest_records, job, result.records)
+        await asyncio.to_thread(self._warehouse_finalize, job)
         self.checkpoint_path(job).unlink(missing_ok=True)
         job.records = len(result.records)
         self._record_state_duration(job)
@@ -634,22 +749,7 @@ class JobSupervisor:
             result.shards_resumed,
         )
 
-    def _warehouse_ingest_records(self, job: Job, records: list) -> None:
-        """Index a settled local job's records (worker thread)."""
-        if self.warehouse is None:
-            return
-        try:
-            self.warehouse.ingest_records(
-                job.spec, records, key=job.job_id, kind="results"
-            )
-        except Exception:
-            logger.exception(
-                "warehouse ingest failed for job %s; run "
-                "'repro warehouse rebuild' to reconverge",
-                job.job_id,
-            )
-
-    def _warehouse_open_fleet(self, job: Job) -> None:
+    def _warehouse_open(self, job: Job) -> None:
         """Open the streaming warehouse source for a fleet job (thread)."""
         if self.warehouse is None:
             return
@@ -662,14 +762,15 @@ class JobSupervisor:
                 "warehouse source open failed for fleet job %s", job.job_id
             )
 
-    def _warehouse_complete_fleet(self, job: Job) -> None:
-        """Catch up and finalize a settled fleet job's source (thread).
+    def _warehouse_finalize(self, job: Job) -> None:
+        """Catch up and finalize a done job's warehouse source (thread).
 
         Shards streamed live are skipped by provenance (exactly-once);
-        shards resumed from a pre-existing checkpoint — which never
-        passed through the HTTP completion path — are ingested here, so
-        the source converges to the checkpoint before it is finalized
-        and the checkpoint file unlinked.
+        everything else in the checkpoint — every shard of a local job,
+        and fleet shards resumed from a pre-existing checkpoint, which
+        never passed through the HTTP completion path — is ingested
+        here, so the source converges to the checkpoint before it is
+        finalized and the checkpoint file unlinked.
         """
         if self.warehouse is None:
             return
@@ -679,172 +780,10 @@ class JobSupervisor:
             )
         except Exception:
             logger.exception(
-                "warehouse finalize failed for fleet job %s; run "
+                "warehouse finalize failed for job %s; run "
                 "'repro warehouse rebuild' to reconverge",
                 job.job_id,
             )
-
-    async def _run_job_fleet(self, job: Job) -> None:
-        """Publish one job's shards to the fleet and wait for completion.
-
-        The supervisor never executes a shard itself: it opens the job in
-        the :class:`~repro.fleet.leases.LeaseManager`, translates lease
-        activity into the same progress events the local backend emits,
-        and settles the job when every shard is completed or permanently
-        failed.  A drain abandons the job ``interrupted`` with its
-        checkpoint intact — outstanding worker uploads are fenced off and
-        a restart resumes the remaining shards.
-        """
-        assert self.lease_manager is not None  # guaranteed by __init__
-        self._enter_state(job, RUNNING, backend="fleet")
-        await asyncio.to_thread(self.manager.persist, job)
-
-        shards = plan_shards(job.spec, self.shard_size)
-        ckpt = CampaignCheckpoint(self.checkpoint_path(job), job.spec, self.shard_size)
-        resumed: dict[str, dict] = {}
-        if ckpt.path.exists():
-            try:
-                resumed = await asyncio.to_thread(ckpt.load)
-            except ValueError as error:
-                logger.warning(
-                    "job %s checkpoint unusable (%s); starting fresh",
-                    job.job_id,
-                    error,
-                )
-                await asyncio.to_thread(ckpt.start)
-        else:
-            await asyncio.to_thread(ckpt.start)
-
-        # The fleet trace: one detached span on the job tracer covers the
-        # whole fan-out; its context header rides in every lease so worker
-        # shard spans parent under it across the wire.
-        job_tracer: Tracer | NullTracer = NullTracer()
-        fleet_span = None
-        trace_header = None
-        trace_shift_s = 0.0
-        if self.tracer.enabled:
-            job_tracer = Tracer(context=TraceContext.from_header(job.trace_parent))
-            trace_shift_s = self.tracer.now_s()
-            fleet_span = job_tracer.start_span(
-                "fleet.job", job=job.job_id, shards=len(shards)
-            )
-            context = fleet_span.context()
-            trace_header = context.to_header() if context is not None else None
-
-        changed = asyncio.Event()
-        started_s = monotonic_s()
-        # Open the warehouse source before shards can complete, so the
-        # HTTP layer's streaming ingest always finds it.
-        await asyncio.to_thread(self._warehouse_open_fleet, job)
-        self.lease_manager.open_job(
-            job.job_id,
-            job.spec.to_json(),
-            shards,
-            resumed,
-            ckpt,
-            units_total=sum(len(shard.site_indices) for shard in shards),
-            observe=self.tracer.enabled,
-            trace_parent=trace_header,
-            trace_now=job_tracer.now_s if self.tracer.enabled else None,
-            on_change=changed.set,
-        )
-
-        interrupted = False
-        last_done = -1
-        while True:
-            status = self.lease_manager.job_status(job.job_id)
-            if status.units_done != last_done:
-                last_done = status.units_done
-                elapsed_s = monotonic_s() - started_s
-                eta_s = None
-                if 0 < status.units_done < status.units_total:
-                    eta_s = round(
-                        elapsed_s
-                        / status.units_done
-                        * (status.units_total - status.units_done),
-                        3,
-                    )
-                job.publish(
-                    {
-                        "event": "progress",
-                        "done": status.units_done,
-                        "total": status.units_total,
-                        "flips": status.flips,
-                        "elapsed_s": round(elapsed_s, 3),
-                        "eta_s": eta_s,
-                    }
-                )
-            if status.settled:
-                break
-            if self.draining():
-                interrupted = True
-                break
-            changed.clear()
-            try:
-                await asyncio.wait_for(changed.wait(), timeout=0.25)
-            except asyncio.TimeoutError:
-                pass
-
-        async with self.checkpoint_lock:
-            result = self.lease_manager.close_job(job.job_id)
-        elapsed_s = monotonic_s() - started_s
-        if self.tracer.enabled and fleet_span is not None:
-            for spans, metrics_snapshot, granted_s in result.trace_batches:
-                job_tracer.ingest(spans, parent=fleet_span, shift_s=granted_s)
-                if metrics_snapshot:
-                    self.metrics.merge_snapshot(metrics_snapshot)
-            fleet_span.set(
-                shards_completed=result.shards_completed,
-                shards_resumed=result.shards_resumed,
-            )
-            fleet_span.__exit__(None, None, None)
-            self.tracer.ingest(job_tracer.drain(), shift_s=trace_shift_s)
-
-        if interrupted:
-            self._enter_state(
-                job, INTERRUPTED, shards_run=result.shards_completed
-            )
-            await asyncio.to_thread(self.manager.persist, job)
-            self.metrics.counter("service.jobs_interrupted").inc()
-            logger.info(
-                "fleet job %s interrupted by drain after %d shard(s); "
-                "checkpoint kept",
-                job.job_id,
-                result.shards_completed,
-            )
-            return
-        self.metrics.histogram("service.job_seconds").record(elapsed_s)
-        if result.failures:
-            first = result.failures[0]
-            await self._fail(
-                job,
-                f"{len(result.failures)} shard(s) failed permanently; "
-                f"first: {first.shard_id}: {first.error}",
-            )
-            return
-        await asyncio.to_thread(self.manager.store.put, job.spec, result.records)
-        await asyncio.to_thread(self._warehouse_complete_fleet, job)
-        self.checkpoint_path(job).unlink(missing_ok=True)
-        job.records = len(result.records)
-        self._record_state_duration(job)
-        job.state = DONE
-        job.publish(
-            {
-                "event": "done",
-                "records": job.records,
-                "elapsed_s": round(elapsed_s, 3),
-                "shards_resumed": result.shards_resumed,
-            }
-        )
-        await asyncio.to_thread(self.manager.persist, job)
-        self.metrics.counter("service.jobs_completed").inc()
-        logger.info(
-            "fleet job %s done: %d records in %.2fs (%d shards resumed)",
-            job.job_id,
-            job.records,
-            elapsed_s,
-            result.shards_resumed,
-        )
 
     async def _fail(self, job: Job, error: str) -> None:
         job.error = error
@@ -854,3 +793,17 @@ class JobSupervisor:
         await asyncio.to_thread(self.manager.persist, job)
         self.metrics.counter("service.jobs_failed").inc()
         logger.error("job %s failed: %s", job.job_id, error)
+
+
+def _publish_progress(job: Job, event: ProgressEvent) -> None:
+    """Publish one progress snapshot on ``job``'s stream (loop thread)."""
+    job.publish(
+        {
+            "event": "progress",
+            "done": event.done,
+            "total": event.total,
+            "flips": event.flips,
+            "elapsed_s": round(event.elapsed_s, 3),
+            "eta_s": None if event.eta_s is None else round(event.eta_s, 3),
+        }
+    )

@@ -7,7 +7,10 @@ backends, selected by ``ServiceConfig.backend``: ``local`` drives the
 engine's in-process pool on the server box, while ``fleet`` publishes
 each job's shards to the :mod:`repro.fleet` lease manager and
 ``repro worker`` processes pull them over the ``/v1/leases`` API —
-same spec, byte-identical results either way.
+same spec, byte-identical results either way.  Both are scheduled by
+the same lease table (the engine runs a private in-process one) and
+settle through one supervisor path that stores the results and
+finalizes the job's warehouse source from its checkpoint.
 
 Routes (all JSON; see docs/SERVICE.md and docs/FLEET.md)::
 

@@ -1,6 +1,10 @@
 """Parallel campaign engine: sharding, equivalence, resume, retries."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -60,6 +64,36 @@ def test_plan_shards_rejects_bad_size():
 def test_run_engine_rejects_bad_workers():
     with pytest.raises(ValueError):
         run_engine(small_spec(), workers=0)
+
+
+def test_run_engine_does_not_load_the_service_stack():
+    """The engine's lease table comes without the service, warehouse, or worker."""
+    code = (
+        "import sys\n"
+        "from repro.characterization.campaign import CampaignSpec\n"
+        "from repro.characterization.engine import run_engine\n"
+        "spec = CampaignSpec(name='imports', module_ids=('S3',),\n"
+        "    experiment='acmin', t_aggon_values=(36.0,), sites_per_module=1)\n"
+        "assert run_engine(spec).ok\n"
+        "print('\\n'.join(sorted(sys.modules)))\n"
+    )
+    environment = dict(os.environ)
+    environment["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    loaded = subprocess.run(
+        [sys.executable, "-c", code],
+        env=environment,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    ).stdout.split()
+    assert "repro.characterization.engine" in loaded
+    assert not [
+        name
+        for name in loaded
+        if name.startswith(("repro.service", "repro.warehouse"))
+        or name == "repro.fleet.worker"
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -275,6 +309,20 @@ def test_permanent_failure_is_structured(tmp_path):
     assert healed.ok
     assert healed.shards_resumed == 2
     assert healed.records == run_campaign(spec)
+
+
+def test_permanent_failure_line_keeps_the_traceback(tmp_path):
+    checkpoint = tmp_path / "ck.jsonl"
+    result = run_engine(
+        small_spec(), workers=1, shard_size=2, checkpoint=checkpoint,
+        fault_hook=_always_fail_p0, max_retries=0,
+    )
+    assert all("injected permanent fault" in f.traceback for f in result.failures)
+    lines = [json.loads(line) for line in checkpoint.read_text().splitlines()]
+    failures = [line for line in lines if line["kind"] == "failure"]
+    assert [line["traceback"] for line in failures] == [
+        f.traceback for f in result.failures
+    ]
 
 
 def test_pool_permanent_failure(tmp_path):

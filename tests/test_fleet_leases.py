@@ -32,7 +32,8 @@ from repro.fleet.leases import (
     UnknownLease,
     outcome_to_payload,
 )
-from repro.testkit import integers, lists, prop
+from repro.testkit import FaultPlan, FaultSpec, integers, lists, prop
+from repro.testkit.points import ENGINE_SHARD_START
 
 TTL_S = 10.0
 
@@ -248,6 +249,29 @@ def test_reported_failures_retry_then_fail_permanently(tmp_path):
     assert len(result.failures) == 1
     assert result.failures[0].shard_id == shard_id
     assert result.failures[0].attempts == manager.max_retries + 1
+
+
+def test_permanent_failure_keeps_the_worker_traceback(tmp_path):
+    manager, _clock, _shards, ckpt, _spec = open_manager(tmp_path)
+    attempts = manager.max_retries + 1
+    with FaultPlan(FaultSpec(ENGINE_SHARD_START, "io-error", times=attempts)):
+        for _ in range(attempts):
+            (grant,) = manager.acquire("w1", max_shards=1)
+            outcome = manager.complete(
+                grant.lease_id, "w1", grant.epoch, wire_result(grant)
+            )
+    assert outcome.outcome == "failed"
+    outcome.checkpoint_append()
+    (failure,) = manager.close_job("job-1").failures
+    assert "injected io-error" in failure.error
+    assert failure.traceback.startswith("Traceback")
+    assert "FaultError" in failure.traceback
+    (line,) = [
+        json.loads(line)
+        for line in ckpt.path.read_text().splitlines()
+        if json.loads(line)["kind"] == "failure"
+    ]
+    assert line["traceback"] == failure.traceback
 
 
 # ----------------------------------------------------------------------

@@ -237,7 +237,7 @@ def test_sigterm_mid_job_then_restart_completes_job(tmp_path):
             if (
                 status.state == "running"
                 and checkpoint.exists()
-                and checkpoint.read_text().strip()
+                and '"kind": "shard"' in checkpoint.read_text()
             ):
                 break
             if status.state in ("done", "failed"):

@@ -287,3 +287,55 @@ def test_supervisor_failure_isolates_job(tmp_path, monkeypatch):
         assert job.events[-1]["event"] == "failed"
 
     run_async(scenario())
+
+
+def test_unusable_checkpoint_restarts_instead_of_failing(tmp_path):
+    async def scenario():
+        manager = make_manager(tmp_path)
+        calls = {"n": 0}
+
+        def draining():
+            calls["n"] += 1
+            return calls["n"] > 2
+
+        spec = small_spec()
+        first = JobSupervisor(
+            manager, tmp_path / "checkpoints", shard_size=1, draining=draining
+        )
+        job, _ = await manager.submit(spec, client="a")
+        await first.run_job(job)
+        assert job.state == INTERRUPTED
+        # A restart under another shard size cannot line its shards up
+        # with that checkpoint: the job starts fresh rather than failing.
+        restarted = JobSupervisor(manager, tmp_path / "checkpoints", shard_size=2)
+        job.state = QUEUED
+        await restarted.run_job(job)
+        assert job.state == DONE, job.error
+        assert job.events[-1]["shards_resumed"] == 0
+        _spec, records = manager.store.load(job.job_id)
+        assert records == run_campaign(spec)
+
+    run_async(scenario())
+
+
+def test_local_job_feeds_the_warehouse_like_a_batch_ingest(tmp_path):
+    from repro.warehouse import Warehouse
+
+    async def scenario():
+        manager = make_manager(tmp_path)
+        spec = small_spec()
+        with Warehouse(":memory:") as warehouse, Warehouse(":memory:") as batch:
+            supervisor = JobSupervisor(
+                manager, tmp_path / "checkpoints", warehouse=warehouse
+            )
+            job, _ = await manager.submit(spec, client="a")
+            await supervisor.run_job(job)
+            assert job.state == DONE
+            report = warehouse.verify()
+            assert report["ok"]
+            assert [source["key"] for source in report["sources"]] == [job.job_id]
+            batch.ingest_records(spec, run_campaign(spec), key=job.job_id)
+            for name in ("sweep", "acmin", "modules"):
+                assert warehouse.analytics(name) == batch.analytics(name)
+
+    run_async(scenario())
