@@ -292,10 +292,7 @@ class ProgramExecutor:
             result.pre_commands += 1
             return time_ns
         if isinstance(instruction, FillRow):
-            data = np.full(
-                device.geometry.row_bits // 8, instruction.byte_value, dtype=np.uint8
-            )
-            device.write_row(instruction.address, data, time_ns)
+            device.fill_row(instruction.address, instruction.byte_value, time_ns)
             result.fill_commands += 1
             return time_ns + _FILL_COST
         if isinstance(instruction, ReadRow):

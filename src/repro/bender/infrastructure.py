@@ -7,7 +7,10 @@ controller into one object that characterization code drives:
 * programs longer than the refresh window are rejected so retention
   failures cannot contaminate read-disturb results,
 * temperature changes settle through the PID model and are then applied
-  to the device.
+  to the device,
+* search probes ask :meth:`TestingInfrastructure.any_bitflip`, which
+  replays a payload on the device's dose-only twin and executes it on
+  the device only when the replay cannot be exact.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import warnings
 from dataclasses import dataclass
 
 from repro import units
+from repro.dram.device import ReplayInexact
 from repro.dram.module import DramModule
 from repro.bender.executor import ExecutionResult, ProgramExecutor
 from repro.bender.isa import Payload, compile_program
@@ -74,8 +78,7 @@ class TestingInfrastructure:
         self.observer.metrics.gauge("bench.temperature_c").set(target_c)
         return settle_s
 
-    def execute(self, payload: Payload, start_time: float = 0.0) -> ExecutionResult:
-        """Execute a compiled payload with refresh disabled."""
+    def _check_budget(self, payload: Payload) -> None:
         if self.enforce_refresh_window:
             duration = payload.duration_ns
             if duration > units.EXPERIMENT_BUDGET:
@@ -84,10 +87,39 @@ class TestingInfrastructure:
                     f"{units.format_time(units.EXPERIMENT_BUDGET)} experiment budget "
                     "(would overlap retention failures)"
                 )
+
+    def execute(self, payload: Payload, start_time: float = 0.0) -> ExecutionResult:
+        """Execute a compiled payload with refresh disabled."""
+        self._check_budget(payload)
         result = self.executor.execute_payload(payload, start_time)
         self.log.programs_run += 1
         self.log.total_activations += result.activations
         return result
+
+    def any_bitflip(self, payload: Payload) -> bool:
+        """Whether ``payload``, run as a fresh experiment, flips a bit it reads.
+
+        The answer always equals :meth:`fresh_experiment` followed by
+        ``bool(execute(payload).bitflips)``.  It comes from replaying the
+        payload through the executor against the device's dose-only twin
+        (:meth:`repro.dram.device.DramDevice.dose_twin`), which leaves
+        the device's rows untouched; the device itself runs the payload
+        only when that replay cannot be exact (docs/MODEL.md §4).
+        :attr:`log` counts device executes only; the observer's
+        ``executor.*`` metrics count replays too.
+        """
+        self._check_budget(payload)
+        self.fresh_experiment()
+        twin = self.module.device.dose_twin()
+        if twin is not None:
+            replay = ProgramExecutor(twin, self.executor.check_timing, self.observer)
+            try:
+                replay.execute_payload(payload)
+            except ReplayInexact:
+                pass
+            else:
+                return twin.read_flipped
+        return bool(self.execute(payload).bitflips)
 
     def run(self, program: Program, start_time: float = 0.0) -> ExecutionResult:
         """Deprecated spelling of :meth:`execute`.

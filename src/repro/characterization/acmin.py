@@ -6,6 +6,13 @@ bisect down to a 1 % relative accuracy (rounded up to the next integer).
 The paper repeats the search five times and keeps the minimum; the
 behavioral device is deterministic for a fixed seed, so ``repeats``
 defaults to 1 (the knob exists for noise-injection studies).
+
+Each probe is one call of
+:meth:`repro.bender.infrastructure.TestingInfrastructure.any_bitflip`:
+a dose-only replay of the probe payload decides it exactly, and the
+device executes the payload only where that replay cannot be exact
+(docs/MODEL.md §4).  The ``acmin.search`` span's ``device_probes`` and
+the ``acmin.device_probes`` counter count those device executes.
 """
 
 from __future__ import annotations
@@ -59,17 +66,18 @@ class AcminSearch:
             self._payloads[(site, t_aggon, parity)] = payload
         return payload
 
-    def _flips_at(self, site: RowSite, t_aggon: float, count: int) -> int:
-        self.infra.fresh_experiment()
-        result = self.infra.execute(self._payload(site, t_aggon, count))
+    def _flips_at(self, site: RowSite, t_aggon: float, count: int) -> bool:
+        """Whether ``count`` activations flip any victim bit (one probe)."""
+        flips = self.infra.any_bitflip(self._payload(site, t_aggon, count))
         self._probes += 1
-        return len(result.bitflips)
+        return flips
 
     def search(self, site: RowSite, t_aggon: float, repeats: int = 1) -> int | None:
         """ACmin for one site and t_AggON; ``None`` when no bitflip occurs."""
         obs = self.observer or NULL_OBSERVER
         best: int | None = None
         probes_before = self._probes
+        executes_before = self.infra.log.programs_run
         with obs.span(
             "acmin.search", bank=site.bank, row=site.row, t_aggon=t_aggon
         ) as span:
@@ -78,26 +86,28 @@ class AcminSearch:
                 if value is not None and (best is None or value < best):
                     best = value
             probes = self._probes - probes_before
-            span.set(acmin=best, probes=probes)
+            device_probes = self.infra.log.programs_run - executes_before
+            span.set(acmin=best, probes=probes, device_probes=device_probes)
         obs.metrics.counter("acmin.searches").inc()
         obs.metrics.counter("acmin.probes").inc(probes)
+        obs.metrics.counter("acmin.device_probes").inc(device_probes)
         if best is not None:
             obs.metrics.counter("acmin.sites_with_flips").inc()
         return best
 
     def _search_once(self, site: RowSite, t_aggon: float) -> int | None:
         acmax = max_activations(t_aggon, self.config)
-        if self._flips_at(site, t_aggon, acmax) == 0:
+        if not self._flips_at(site, t_aggon, acmax):
             return None
         low, high = 0, acmax  # low: no flip; high: flips
-        if acmax > 1 and self._flips_at(site, t_aggon, 1) > 0:
+        if acmax > 1 and self._flips_at(site, t_aggon, 1):
             return 1
         low = 1 if acmax > 1 else 0
         while high - low > max(math.ceil(self.accuracy * high), 1):
             mid = (low + high) // 2
             if mid in (low, high):
                 break
-            if self._flips_at(site, t_aggon, mid) > 0:
+            if self._flips_at(site, t_aggon, mid):
                 high = mid
             else:
                 low = mid

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -248,6 +248,27 @@ class WeakCells:
     hammer: CellSet
     press: CellSet
     retention: CellSet
+    #: :meth:`eligible_minima` per fill byte; lives and dies with the row.
+    _minima: dict[int, tuple[float, float, float]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
+
+    def eligible_minima(self, byte_value: int) -> tuple[float, float, float]:
+        """Smallest (hammer, press, retention) threshold that can flip.
+
+        Only cells eligible under a row filled with ``byte_value``
+        count: hammer cells flip only when discharged, press and
+        retention cells only when charged (inf when none is eligible).
+        """
+        minima = self._minima.get(byte_value)
+        if minima is None:
+            minima = (
+                _eligible_min(self.hammer, byte_value, charged=False),
+                _eligible_min(self.press, byte_value, charged=True),
+                _eligible_min(self.retention, byte_value, charged=True),
+            )
+            self._minima[byte_value] = minima
+        return minima
 
     @property
     def min_hammer_threshold(self) -> float:
@@ -258,6 +279,14 @@ class WeakCells:
     def min_press_threshold(self) -> float:
         """Smallest press threshold in the row (inf when none)."""
         return self.press.min_threshold
+
+
+def _eligible_min(cells: CellSet, byte_value: int, charged: bool) -> float:
+    """Smallest threshold among cells that hold (or lack) charge under a fill."""
+    bits = (byte_value >> (cells.columns & 7)) & 1  # LSB-first, as bits_from_bytes
+    holding_charge = charged_mask(bits, cells.anti)
+    thresholds = cells.thresholds[holding_charge if charged else ~holding_charge]
+    return float(thresholds.min()) if thresholds.size else math.inf
 
 
 def _sample_columns(

@@ -2,8 +2,9 @@
 
 :class:`DramDevice` models one rank-set of chips operating in lock step
 (i.e. a module as seen by the memory controller).  It accepts the DRAM
-command stream — ``act`` / ``precharge`` / ``read_row`` / ``write_row`` /
-``refresh`` — with explicit nanosecond timestamps, and keeps, per row:
+command stream — ``act`` / ``precharge`` / ``read_row`` / ``write_row``
+(or ``fill_row``) / ``refresh`` — with explicit nanosecond timestamps,
+and keeps, per row:
 
 * the stored data (lazily allocated byte arrays),
 * accumulated hammer and press dose (cleared whenever the row's charge is
@@ -17,6 +18,10 @@ is then restored and sticks until overwritten.
 The device does not enforce inter-command timing minima — like real
 silicon, it executes whatever it is told; legality checks belong to the
 issuer (:mod:`repro.bender.executor` and :mod:`repro.sim.dram_model`).
+
+:class:`DoseTwin` is a dose-only twin of a device: it keeps the same
+doses but no row data, and only decides whether a sense would flip any
+cell.  Search probes replay their payloads on it (docs/MODEL.md §4).
 """
 
 from __future__ import annotations
@@ -285,7 +290,29 @@ class DramDevice:
             raise ValueError(f"row data must be {expected} bytes, got {data.size}")
         key = self._key(address)
         self._data[key] = np.array(data, dtype=np.uint8, copy=True)
-        self._uniform_byte[key] = uniform_fill_byte(self._data[key])
+        self._written(key, uniform_fill_byte(self._data[key]), time_ns)
+
+    def fill_row(self, address: RowAddress, byte_value: int, time_ns: float) -> None:
+        """Fill every byte of a row with ``byte_value`` (restores charge, clears dose).
+
+        Same effect as :meth:`write_row` with a uniform image, but the
+        row's byte is known up front: no image is built, copied or
+        re-scanned.
+        """
+        self._check_address(address)
+        if not 0 <= byte_value <= 0xFF:
+            raise ValueError("byte value out of range")
+        key = self._key(address)
+        data = self._data.get(key)
+        if data is None:
+            self._data[key] = np.full(self.geometry.row_bits // 8, byte_value, dtype=np.uint8)
+        else:
+            data.fill(byte_value)  # callers only ever get copies of row data
+        self._written(key, byte_value, time_ns)
+
+    def _written(self, key: RowKey, fill_byte: int | None, time_ns: float) -> None:
+        """Bookkeeping of a row write: new content, charge fully restored."""
+        self._uniform_byte[key] = fill_byte
         self._hammer_dose.pop(key, None)
         self._press_dose.pop(key, None)
         self._pending.pop(key, None)
@@ -341,22 +368,51 @@ class DramDevice:
 
     def _sense(self, key: RowKey, time_ns: float) -> list[Bitflip]:
         """Evaluate accumulated disturbance, commit flips, restore charge."""
+        exposure = self._restore_on_sense(key, time_ns)
+        if exposure is None:
+            return []
+        flips = self._commit_disturbance(key, *exposure)
+        if flips:
+            # Data mutated: the uniform-byte cache recomputes lazily.
+            self._uniform_byte.pop(key, None)
+        return flips
+
+    def _restore_on_sense(
+        self, key: RowKey, time_ns: float
+    ) -> tuple[float, float, float, float] | None:
+        """Restore a sensed row's charge; returns what it was exposed to.
+
+        The exposure is ``(hammer dose, press dose, unrefreshed ns,
+        retention scale)``.  None means no cell can flip: the row holds
+        no dose and has gone unrefreshed for less than the retention
+        floor.
+        """
         self._flush_neighborhood(key, time_ns)
+        hammer_dose = self._hammer_dose.pop(key, 0.0)
+        press_dose = self._press_dose.pop(key, 0.0)
+        unrefreshed = time_ns - self._last_restore.get(key, self._start_time)
+        self._last_restore[key] = time_ns
+        scale = retention_model.retention_scale(self.config.temperature_c)
         if (
-            self._hammer_dose.get(key, 0.0) == 0.0
-            and self._press_dose.get(key, 0.0) == 0.0
+            hammer_dose == 0.0
+            and press_dose == 0.0
+            and unrefreshed < self._RETENTION_FLOOR_NS * scale
         ):
-            unrefreshed = time_ns - self._last_restore.get(key, self._start_time)
-            scale = retention_model.retention_scale(self.config.temperature_c)
-            if unrefreshed < self._RETENTION_FLOOR_NS * scale:
-                self._last_restore[key] = time_ns
-                return []
+            return None
+        return hammer_dose, press_dose, unrefreshed, scale
+
+    def _commit_disturbance(
+        self,
+        key: RowKey,
+        hammer_dose: float,
+        press_dose: float,
+        unrefreshed: float,
+        scale: float,
+    ) -> list[Bitflip]:
+        """Flip every eligible cell whose threshold the exposure reached."""
         cells = self.population.row(*key)
         flips: list[Bitflip] = []
-        data = None
         address = RowAddress(*key)
-        hammer_dose = self._hammer_dose.get(key, 0.0)
-        press_dose = self._press_dose.get(key, 0.0)
 
         if hammer_dose > 0.0 and cells.hammer.size:
             failing = cells.hammer.thresholds <= hammer_dose
@@ -383,8 +439,6 @@ class DramDevice:
                 )
 
         if cells.retention.size:
-            unrefreshed = time_ns - self._last_restore.get(key, self._start_time)
-            scale = retention_model.retention_scale(self.config.temperature_c)
             failing = cells.retention.thresholds * scale <= unrefreshed
             if failing.any():
                 data = self._row_data(key)
@@ -397,13 +451,6 @@ class DramDevice:
                         address, data, columns[eligible], bits[eligible], "retention"
                     )
                 )
-
-        self._hammer_dose.pop(key, None)
-        self._press_dose.pop(key, None)
-        self._last_restore[key] = time_ns
-        if flips:
-            # Data mutated: the uniform-byte cache recomputes lazily.
-            self._uniform_byte.pop(key, None)
         return flips
 
     @staticmethod
@@ -444,3 +491,102 @@ class DramDevice:
         self._press_dose.clear()
         self._pending.clear()
         self._last_episode_end.clear()
+
+    def dose_twin(self) -> DoseTwin | None:
+        """A fresh dose-only twin of this device (see :class:`DoseTwin`).
+
+        None when a replay on the twin could differ from this device: an
+        ``on_activate`` hook (TRR) acts on activations the twin never
+        shows it, and a row left open here would change what the
+        payload's first ACT or PRE does.
+        """
+        if self.on_activate is not None or any(
+            bank.open_row is not None for bank in self._banks.values()
+        ):
+            return None
+        return DoseTwin(self)
+
+
+#: What a :class:`DoseTwin` returns as row data: it keeps none.
+_NO_DATA = np.empty(0, dtype=np.uint8)
+_NO_DATA.flags.writeable = False
+
+
+class ReplayInexact(Exception):
+    """A dose-only replay met a row whose content it does not know."""
+
+
+class DoseTwin(DramDevice):
+    """Dose-only twin of a :class:`DramDevice`, for search probes.
+
+    It shares the device's geometry, cell population, dose model, timing
+    and configuration, and starts as the device stands after
+    :meth:`~DramDevice.reset_disturbance` with every bank closed.  The
+    dose bookkeeping (``_deposit``, ``_flush_pending``,
+    ``_flush_neighborhood``, :meth:`~DramDevice.deposit_episodes`) is
+    inherited unchanged; only filling and sensing differ:
+
+    * a fill records the row's byte and keeps no row image;
+    * a sense decides whether *any* cell flips, by comparing the row's
+      hammer dose, press dose and unrefreshed time with the row's
+      smallest eligible hammer, press and retention thresholds for that
+      byte (:meth:`repro.dram.cells.WeakCells.eligible_minima`).  The
+      three populations are column-disjoint and every per-cell test is
+      monotone in the threshold, so this is the device's verdict; no
+      cell array is scanned and no :class:`Bitflip` is built.
+
+    :attr:`read_flipped` then equals ``bool(bitflips)`` over the device's
+    row reads.  Sensing or classifying a row whose content the twin does
+    not know — not filled by the payload, mixed, or changed by an
+    earlier flip — raises :class:`ReplayInexact`.
+    """
+
+    def __init__(self, device: DramDevice) -> None:
+        super().__init__(
+            device.geometry, device.population, device.disturb, device.timing, device.config
+        )
+        #: Whether a row read sensed a flip (the device would report one).
+        self.read_flipped = False
+
+    def fill_row(self, address: RowAddress, byte_value: int, time_ns: float) -> None:
+        """Record a filled row's byte (no row image is kept)."""
+        self._check_address(address)
+        self._written(self._key(address), byte_value, time_ns)
+
+    def read_row(self, address: RowAddress, time_ns: float) -> tuple[np.ndarray, list[Bitflip]]:
+        """Sense a row into :attr:`read_flipped`; returns no data and no flips."""
+        self._check_address(address)
+        key = self._key(address)
+        self._flush_pending(key, time_ns)
+        if self._flips_on_sense(key, time_ns):
+            self.read_flipped = True
+        return _NO_DATA, []
+
+    def _fill_byte(self, key: RowKey) -> int:
+        byte = self._uniform_byte.get(key)
+        if byte is None:
+            raise ReplayInexact(
+                f"row {key}: not filled by the payload, or its content changed"
+            )
+        return byte
+
+    def _sense(self, key: RowKey, time_ns: float) -> list[Bitflip]:
+        self._flips_on_sense(key, time_ns)  # an ACT reports no flips
+        return []
+
+    def _flips_on_sense(self, key: RowKey, time_ns: float) -> bool:
+        """Whether sensing a row flips any of its cells."""
+        byte = self._fill_byte(key)
+        exposure = self._restore_on_sense(key, time_ns)
+        if exposure is None:
+            return False
+        hammer_dose, press_dose, unrefreshed, scale = exposure
+        hammer, press, retention = self.population.row(*key).eligible_minima(byte)
+        if (
+            (hammer_dose > 0.0 and hammer <= hammer_dose)
+            or (press_dose > 0.0 and press <= press_dose)
+            or retention * scale <= unrefreshed
+        ):
+            self._uniform_byte.pop(key)  # the flip changed the row's content
+            return True
+        return False

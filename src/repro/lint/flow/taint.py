@@ -76,6 +76,7 @@ SINK_CALLS: frozenset[str] = frozenset(
         "repro.characterization.campaign.save_results",
         "repro.service.store.ResultStore.put",
         "repro.characterization.engine.CampaignCheckpoint.record_shard",
+        "repro.characterization.engine.CampaignCheckpoint.record_shard_payload",
         "repro.characterization.engine.CampaignCheckpoint.record_failure",
         "repro.characterization.engine.CampaignCheckpoint._append",
         "repro.obs.metrics.MetricsRegistry.merge_snapshot",

@@ -49,9 +49,11 @@ METRIC_NAMES: frozenset[str] = frozenset(
         "acmin.searches",
         "acmin.probes",
         "acmin.sites_with_flips",
+        "acmin.device_probes",
         "taggonmin.searches",
         "taggonmin.probes",
         "taggonmin.sites_with_flips",
+        "taggonmin.device_probes",
         "ber.measurements",
         "ber.bitflips",
         "campaign.experiments",

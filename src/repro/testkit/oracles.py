@@ -5,8 +5,9 @@ Each oracle states a relationship the reproduction must satisfy for
 accumulate with activation count, RowPress worsens with temperature
 while RowHammer eases (§5.2), the static program verifier agrees with
 the timing-checked executor, compiled-payload execution is bit-identical
-to interpretation, sharded engine output equals sequential output, and
-results survive serialization round-trips.
+to interpretation, a search probe answered by the dose-only replay
+agrees with the device walk, sharded engine output equals sequential
+output, and results survive serialization round-trips.
 
 Every oracle ships with a deliberately planted **model mutation** (a
 context manager that temporarily breaks the production code in a
@@ -399,7 +400,108 @@ def _mutate_setcnt_off_by_one() -> Iterator[None]:
 
 
 # ----------------------------------------------------------------------
-# 6. sharded engine == sequential campaign
+# 6. replayed search probe == device walk
+# ----------------------------------------------------------------------
+
+
+def _module_ids() -> Gen:
+    """One Table 1 module id (shrinks toward the first)."""
+
+    def draw(ctx) -> object:
+        from repro.dram.catalog import MODULE_CATALOG
+
+        ids = sorted(MODULE_CATALOG)
+        return ids[ctx.draw_index(len(ids))]
+
+    return Gen(draw, "module_ids")
+
+
+def _probe_bench(module_id: str, temperature_c: float):
+    from repro.bender.infrastructure import TestingInfrastructure
+    from repro.dram.catalog import build_module
+
+    bench = TestingInfrastructure(build_module(module_id, geometry=_small_geometry()))
+    bench.module.device.set_temperature(temperature_c)
+    return bench
+
+
+def _check_probe_equivalence(
+    module_id: str,
+    row: int,
+    t_aggon: float,
+    count_fraction: float,
+    access: str,
+    data,
+    temperature_c: float,
+) -> None:
+    """A probe the dose-only replay answers is answered as the device would.
+
+    Checks the drawn activation count, then bisects the count to the
+    flip boundary, where a wrong threshold shows first, checking every
+    probe.  The reference is the device walk (``fresh_experiment()`` +
+    ``execute()``) on a bench of its own; probes the replay hands to the
+    device are not compared.
+    """
+    from repro.bender.isa import compile_program
+    from repro.characterization.patterns import (
+        AccessPattern,
+        ExperimentConfig,
+        RowSite,
+        build_disturb_program,
+        max_activations,
+    )
+
+    config = ExperimentConfig(access=AccessPattern(access), data=data)
+    site = RowSite(rank=0, bank=0, row=row)
+    bench = _probe_bench(module_id, temperature_c)
+    device = _probe_bench(module_id, temperature_c)
+
+    def probe(count: int) -> bool:
+        program, _ = build_disturb_program(site, t_aggon, count, config)
+        payload = compile_program(program, config.timing)
+        executes = bench.log.programs_run
+        answer = bench.any_bitflip(payload)
+        if bench.log.programs_run == executes:  # the replay answered
+            device.fresh_experiment()
+            walked = len(device.execute(payload).bitflips) > 0
+            assert answer == walked, (
+                f"replay says {'a' if answer else 'no'} bitflip, the device "
+                f"{'a' if walked else 'no'} bitflip: {module_id} row {row}, "
+                f"{access}-sided {data.value}, {temperature_c:.1f}C, "
+                f"t_AggON {t_aggon:.1f}ns x {count}"
+            )
+        return answer
+
+    acmax = max_activations(t_aggon, config)
+    count = min(max(round(count_fraction * acmax), 1), acmax)
+    low, high = (0, count) if probe(count) else (count, acmax + 1)
+    while high - low > 1:  # low: no flip; high: flips (or past the budget)
+        mid = (low + high) // 2
+        if probe(mid):
+            high = mid
+        else:
+            low = mid
+
+
+@contextlib.contextmanager
+def _mutate_ineligible_minima() -> Iterator[None]:
+    """Bug: the replay's row minima ignore which cells the data lets flip."""
+    from repro.dram import cells
+
+    original = cells._eligible_min
+
+    def mutated(cell_set, byte_value: int, charged: bool) -> float:
+        return cell_set.min_threshold
+
+    cells._eligible_min = mutated
+    try:
+        yield
+    finally:
+        cells._eligible_min = original
+
+
+# ----------------------------------------------------------------------
+# 7. sharded engine == sequential campaign
 # ----------------------------------------------------------------------
 
 
@@ -438,7 +540,7 @@ def _mutate_unit_order() -> Iterator[None]:
 
 
 # ----------------------------------------------------------------------
-# 7. results round-trip
+# 8. results round-trip
 # ----------------------------------------------------------------------
 
 
@@ -555,6 +657,25 @@ ORACLES: dict[str, Oracle] = {
             max_examples=40,
             self_check_examples=60,
             shrink_calls=300,
+        ),
+        Oracle(
+            name="probe-equivalence",
+            title="replayed search probe == device walk",
+            gens={
+                "module_id": _module_ids(),
+                "row": _ROW_GEN,
+                "t_aggon": gen.log_floats(36.0, 30.0 * units.MS),
+                "count_fraction": gen.log_floats(1e-6, 1.0),
+                "access": gen.sampled_from(("single", "double")),
+                "data": gen.data_patterns(),
+                "temperature_c": gen.floats(50.0, 90.0),
+            },
+            check=_check_probe_equivalence,
+            mutate=_mutate_ineligible_minima,
+            mutation_note="replay minima taken over ineligible cells too",
+            max_examples=25,
+            self_check_examples=15,
+            shrink_calls=60,
         ),
         Oracle(
             name="engine-equivalence",

@@ -98,6 +98,43 @@ def test_taint_clean_equivalent_passes():
     assert flow(sources=planted("_leaky.py", clean), rule="flow-nondeterministic-result") == []
 
 
+_CHECKPOINT_PLANT = """\
+from __future__ import annotations
+
+import time
+
+from repro.characterization.engine import CampaignCheckpoint
+
+
+def _stamp() -> float:
+    return time.time()
+
+
+def accept(checkpoint: CampaignCheckpoint, line: dict) -> None:
+    checkpoint.record_shard_payload({"line": line, "at": _stamp()})
+"""
+
+
+def test_taint_reaches_the_lease_table_checkpoint_write():
+    """The lease table appends every accepted shard via record_shard_payload."""
+    (finding,) = flow(
+        sources=planted("_leaky_lease.py", _CHECKPOINT_PLANT),
+        rule="flow-nondeterministic-result",
+    )
+    assert finding.path.endswith("_leaky_lease.py")
+    assert "record_shard_payload()" in finding.message
+    assert "wall-clock" in finding.message
+    assert finding.message.index("_stamp") < finding.message.index("time.time()")
+
+
+def test_checkpoint_write_clean_equivalent_passes():
+    clean = _CHECKPOINT_PLANT.replace("time.time()", "0.0")
+    assert (
+        flow(sources=planted("_leaky_lease.py", clean), rule="flow-nondeterministic-result")
+        == []
+    )
+
+
 _SET_ORDER_PLANT = """\
 from __future__ import annotations
 
