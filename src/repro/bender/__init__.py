@@ -14,17 +14,18 @@ This package provides the same capability against the behavioral device:
 * :mod:`repro.bender.temperature` — heater-pad + PID controller model,
 * :mod:`repro.bender.infrastructure` — the full test bench.
 
-The one blessed execution surface is *compile once, execute many*::
+Programs run *compile once, execute many*::
 
     payload = compile_program(program)      # -> Payload (packed words)
     result = execute(payload, device)       # loop-summarized execution
 
-``ProgramExecutor.run`` and ``TestingInfrastructure.run`` survive only
-as :class:`DeprecationWarning` shims over that pair.
+:func:`disassemble` prints a payload's words, the one program text.
+``ProgramExecutor.interpret(program)`` runs a program uncompiled: it is
+the reference interpreter that the ``isa-equivalence`` oracle holds
+``execute`` to.
 """
 
 from repro.bender.program import Act, FillRow, Loop, Pre, Program, ReadRow, Wait
-from repro.bender.assembly import AssemblyError, format_program, parse_program
 from repro.bender.builder import (
     double_sided_pattern,
     onoff_pattern,
@@ -59,7 +60,4 @@ __all__ = [
     "disassemble",
     "TemperatureController",
     "TestingInfrastructure",
-    "parse_program",
-    "format_program",
-    "AssemblyError",
 ]

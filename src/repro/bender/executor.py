@@ -14,7 +14,6 @@ ACmin bisection over hundreds of thousands of activations tractable.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -140,27 +139,17 @@ class ProgramExecutor:
     def _bank(self, rank: int, bank: int) -> _BankTiming:
         return self._banks.setdefault((rank, bank), _BankTiming())
 
-    def run(
+    def interpret(
         self, program: Program, start_time: float = 0.0, verify: bool = False
     ) -> ExecutionResult:
-        """Deprecated spelling of the compile/execute surface.
+        """Run ``program`` uncompiled: the reference interpreter.
 
-        .. deprecated::
-            Compile once and execute the payload instead::
-
-                from repro.bender import compile_program, execute
-
-                result = execute(compile_program(program), device)
-
-            or, holding an executor, ``executor.execute_payload(payload)``.
+        Steady loops are summarized afresh on every run instead of
+        coming from a payload, and nothing passes through the compiler,
+        so programs it would reject or elide (``Loop(0, ...)``) run as
+        written.  The ``isa-equivalence`` oracle holds
+        :meth:`execute_payload` to this path bit for bit.
         """
-        warnings.warn(
-            "ProgramExecutor.run(...) is deprecated; compile the program with "
-            "repro.bender.compile_program(...) and run the payload via "
-            "repro.bender.execute(...) or ProgramExecutor.execute_payload(...)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
         return self._execute(program, start_time=start_time, verify=verify)
 
     def execute_payload(

@@ -15,15 +15,13 @@ controller into one object that characterization code drives:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 from repro import units
 from repro.dram.device import ReplayInexact
 from repro.dram.module import DramModule
 from repro.bender.executor import ExecutionResult, ProgramExecutor
-from repro.bender.isa import Payload, compile_program
-from repro.bender.program import Program
+from repro.bender.isa import Payload
 from repro.bender.temperature import TemperatureController
 from repro.obs import NULL_OBSERVER, Observer
 
@@ -120,25 +118,6 @@ class TestingInfrastructure:
             else:
                 return twin.read_flipped
         return bool(self.execute(payload).bitflips)
-
-    def run(self, program: Program, start_time: float = 0.0) -> ExecutionResult:
-        """Deprecated spelling of :meth:`execute`.
-
-        .. deprecated::
-            Compile once and execute the payload instead::
-
-                bench.execute(repro.bender.compile_program(program))
-        """
-        warnings.warn(
-            "TestingInfrastructure.run(program, ...) is deprecated; compile "
-            "the program with repro.bender.compile_program(...) and run it "
-            "via TestingInfrastructure.execute(payload, ...)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.execute(
-            compile_program(program, self.module.device.timing), start_time
-        )
 
     def fresh_experiment(self) -> None:
         """Clear accumulated disturbance between independent experiments."""

@@ -296,12 +296,14 @@ class _ShardOutcome:
         }
 
 
-#: Per-worker state, keyed by spec JSON: the runner's benches persist
-#: across the shards a worker executes, like a Bender setup that keeps
-#: its modules socketed between experiments.  Thread-local rather than
-#: process-global: a CharacterizationRunner owns one command timeline,
-#: so concurrent fleet worker threads sharing a runner would interleave
-#: ACT/PRE commands and trip timing violations.
+#: Per-worker state: one slot holding the runner for the last spec this
+#: thread executed.  Its benches persist across the shards of that spec,
+#: like a Bender setup that keeps its modules socketed between
+#: experiments; the next spec's first shard replaces the runner, so a
+#: long-lived worker holds one spec's cell populations at a time.
+#: Thread-local rather than process-global: a CharacterizationRunner
+#: owns one command timeline, so concurrent fleet worker threads sharing
+#: a runner would interleave ACT/PRE commands and trip timing violations.
 _PROCESS_STATE = threading.local()
 
 #: Test-only failure injection, installed by the pool initializer.
@@ -317,14 +319,10 @@ def _init_worker(fault_hook: Callable[[ShardSpec, int], None] | None) -> None:
 def _process_context(
     spec_json: str, observe: bool, trace_header: str | None = None
 ) -> tuple[CharacterizationRunner, Observer]:
-    """This worker process's runner + observer for a spec (cached)."""
-    cache: dict[str, tuple[CharacterizationRunner, Observer]] | None
-    cache = getattr(_PROCESS_STATE, "cache", None)
-    if cache is None:
-        cache = _PROCESS_STATE.cache = {}
+    """This thread's runner + observer for a spec (kept for the next shard)."""
     key = f"{int(observe)}:{trace_header}:{spec_json}"
-    state = cache.get(key)
-    if state is None:
+    slot = getattr(_PROCESS_STATE, "slot", None)
+    if slot is None or slot[0] != key:
         spec = CampaignSpec.from_json(spec_json)
         observer = (
             Observer(
@@ -340,9 +338,9 @@ def _process_context(
             seed=spec.seed,
             observer=observer,
         )
-        state = (runner, observer)
-        cache[key] = state
-    return state
+        # Replacing the slot drops the previous spec's runner.
+        slot = _PROCESS_STATE.slot = (key, runner, observer)
+    return slot[1], slot[2]
 
 
 def _attempt_shard(
@@ -421,8 +419,9 @@ def execute_shard(
     """Run one shard in this process: the wire-level shard entry point.
 
     This is the same code path a pool worker runs for a :class:`_ShardTask`
-    — the per-process runner cache keyed by ``spec_json`` persists across
-    calls, and the outcome never raises (failures come back structured).
+    — the thread's runner for ``spec_json`` persists across calls until
+    another spec replaces it, and the outcome never raises (failures
+    come back structured).
     ``repro.fleet`` workers call this for every leased shard, so a shard
     executes identically whether it ran in-process, in a local pool
     worker, or on a remote fleet worker; the deterministic per-shard

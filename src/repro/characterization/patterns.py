@@ -58,11 +58,6 @@ class RowSite:
             rows = [self.row + d for d in (-3, -2, -1, 1, 3, 4, 5)]
         return [RowAddress(self.rank, self.bank, r) for r in rows if r >= 0]
 
-    def rows_needed(self, access: AccessPattern) -> int:
-        """Highest row index this site touches (for geometry checks)."""
-        victims = self.victims(access)
-        return max(v.row for v in victims)
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:

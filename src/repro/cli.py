@@ -19,14 +19,12 @@ Commands:
 ``repro --version`` prints the package version (single-sourced from
 ``repro.__version__``; the service advertises the same string).
 
-Observability flags are global: ``repro [-v] [--trace-out FILE]
-[--metrics-out FILE] <command> ...`` works identically for every
-subcommand.  ``--trace-out`` writes Chrome trace-event JSON (loadable
-in ``chrome://tracing``), ``--metrics-out`` a counter/gauge/histogram
-snapshot, and ``-v`` raises log verbosity (``-vv`` for debug) and
-surfaces campaign progress lines.  The pre-redesign spellings after
-the subcommand (``repro acmin S3 --trace-out f``) still work but emit
-a :class:`DeprecationWarning`.
+Observability flags are global and go before the subcommand:
+``repro [-v] [--trace-out FILE] [--metrics-out FILE] <command> ...``
+works identically for every subcommand.  ``--trace-out`` writes Chrome
+trace-event JSON (loadable in ``chrome://tracing``), ``--metrics-out``
+a counter/gauge/histogram snapshot, and ``-v`` raises log verbosity
+(``-vv`` for debug) and surfaces campaign progress lines.
 """
 
 from __future__ import annotations
@@ -34,7 +32,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import warnings
 from pathlib import Path
 
 from repro import __version__, units
@@ -48,8 +45,7 @@ logger = get_logger("cli")
 
 def _build_observer(args: argparse.Namespace) -> Observer | None:
     """An active observer when any observability output was requested."""
-    wants_obs = getattr(args, "trace_out", None) or getattr(args, "metrics_out", None)
-    if not wants_obs and not args.verbose:
+    if not (args.trace_out or args.metrics_out or args.verbose):
         return None
     observer = Observer.create(label=args.command or "run")
     declare_standard_metrics(observer.metrics)
@@ -60,14 +56,12 @@ def _export_observability(args: argparse.Namespace, observer: Observer | None) -
     """Write the trace/metrics files the flags asked for."""
     if observer is None:
         return
-    trace_out = getattr(args, "trace_out", None)
-    if trace_out:
-        observer.tracer.write_chrome_trace(trace_out)
-        logger.info("trace written to %s", trace_out)
-    metrics_out = getattr(args, "metrics_out", None)
-    if metrics_out:
-        observer.metrics.write_json(metrics_out)
-        logger.info("metrics written to %s", metrics_out)
+    if args.trace_out:
+        observer.tracer.write_chrome_trace(args.trace_out)
+        logger.info("trace written to %s", args.trace_out)
+    if args.metrics_out:
+        observer.metrics.write_json(args.metrics_out)
+        logger.info("metrics written to %s", args.metrics_out)
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
@@ -619,21 +613,6 @@ def _cmd_obs_report(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 
 
-class _DeprecatedValueFlag(argparse.Action):
-    """Old per-subcommand spelling of a global flag: warn, keep working."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        message = (
-            f"`{option_string}` after the subcommand is deprecated; pass it "
-            f"before the subcommand: `repro {option_string} ... <command>`"
-        )
-        # Default warning filters hide DeprecationWarning outside
-        # __main__, so also log it where CLI users will see it.
-        warnings.warn(message, DeprecationWarning, stacklevel=2)
-        logger.warning(message)
-        setattr(namespace, self.dest, values)
-
-
 def _add_global_obs_flags(parser: argparse.ArgumentParser) -> None:
     """The unified observability flags, attached to the parent parser."""
     parser.add_argument(
@@ -654,30 +633,6 @@ def _add_global_obs_flags(parser: argparse.ArgumentParser) -> None:
         metavar="FILE",
         default=None,
         help="write a metrics snapshot JSON (see `repro obs-report`)",
-    )
-
-
-def _add_deprecated_obs_flags(subparser: argparse.ArgumentParser) -> None:
-    """Accept the pre-redesign per-subcommand spellings with a warning.
-
-    ``default=argparse.SUPPRESS`` keeps the subparser from clobbering a
-    value the parent parser already put in the namespace.
-    """
-    subparser.add_argument(
-        "--trace-out",
-        action=_DeprecatedValueFlag,
-        dest="trace_out",
-        metavar="FILE",
-        default=argparse.SUPPRESS,
-        help=argparse.SUPPRESS,
-    )
-    subparser.add_argument(
-        "--metrics-out",
-        action=_DeprecatedValueFlag,
-        dest="metrics_out",
-        metavar="FILE",
-        default=argparse.SUPPRESS,
-        help=argparse.SUPPRESS,
     )
 
 
@@ -703,13 +658,11 @@ def build_parser() -> argparse.ArgumentParser:
     acmin.add_argument("module", help="catalog module id, e.g. S3")
     acmin.add_argument("--row", type=int, default=100)
     acmin.add_argument("--temperature", type=float, default=50.0)
-    _add_deprecated_obs_flags(acmin)
     acmin.set_defaults(handler=_cmd_acmin)
 
     attack = commands.add_parser("attack", help="run the real-system demo")
     attack.add_argument("--victims", type=int, default=100)
     attack.add_argument("--iterations", type=int, default=200_000)
-    _add_deprecated_obs_flags(attack)
     attack.set_defaults(handler=_cmd_attack)
 
     campaign = commands.add_parser(
@@ -746,7 +699,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write a collapsed-stack sampling profile (flamegraph input); "
         "with --workers N the pool workers are sampled too",
     )
-    _add_deprecated_obs_flags(campaign)
     campaign.set_defaults(handler=_cmd_campaign)
 
     serve_cmd = commands.add_parser(

@@ -13,11 +13,6 @@ REFERENCE_TEMPERATURE_C = 80.0
 HALVING_DEGC = 10.0
 
 
-def retention_time_at(reference_time_ns: float, temperature_c: float) -> float:
-    """Scale a retention time from 80 degC to ``temperature_c``."""
-    return reference_time_ns * 2.0 ** ((REFERENCE_TEMPERATURE_C - temperature_c) / HALVING_DEGC)
-
-
 def retention_scale(temperature_c: float) -> float:
     """Multiplier applied to 80 degC retention times at ``temperature_c``."""
     return 2.0 ** ((REFERENCE_TEMPERATURE_C - temperature_c) / HALVING_DEGC)

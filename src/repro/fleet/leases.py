@@ -432,10 +432,6 @@ class LeaseManager:
             trace_batches=list(job.trace_batches),
         )
 
-    def open_jobs(self) -> tuple[str, ...]:
-        """Ids of jobs currently offering (or finishing) work."""
-        return tuple(self._jobs)
-
     # -- worker-facing protocol -----------------------------------------
 
     def acquire(self, worker_id: str, max_shards: int = 1) -> list[LeaseGrant]:

@@ -45,26 +45,6 @@ class ProjectContext:
         if context.module:
             self.modules[context.module] = context
 
-    def import_graph(self) -> dict[str, set[str]]:
-        """Module -> set of project modules it imports (from alias tables).
-
-        Only edges between modules *present in this project* are kept;
-        stdlib/numpy imports are not graph nodes.
-        """
-        graph: dict[str, set[str]] = {}
-        for module, context in self.modules.items():
-            edges: set[str] = set()
-            for target in context.imports.values():
-                # "repro.obs.metrics.atomic_write_text" imports the
-                # module "repro.obs.metrics"; a bare "repro.obs" import
-                # is the module itself.
-                for candidate in (target, target.rsplit(".", 1)[0]):
-                    if candidate != module and candidate in self.modules:
-                        edges.add(candidate)
-                        break
-            graph[module] = edges
-        return graph
-
     def suppressed(self, diagnostic: LintDiagnostic) -> bool:
         """Whether the *anchor file's* directives silence ``diagnostic``.
 

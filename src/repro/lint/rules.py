@@ -429,86 +429,6 @@ class UnknownMetricNameRule(Rule):
             )
 
 
-class NoLegacyExecutorApiRule(Rule):
-    """Library code must use the compile/execute API, not the legacy runners.
-
-    ``ProgramExecutor.run(program)`` and ``TestingInfrastructure.run``
-    re-interpret the command program on every call; the redesigned API
-    compiles once (:func:`repro.bender.compile_program`) and executes the
-    payload many times.  The deprecated spellings only survive as shims,
-    so in-repo callers are flagged statically instead of waiting for the
-    :class:`DeprecationWarning` at runtime.
-    """
-
-    code = "no-legacy-executor-api"
-    description = (
-        "call to the deprecated ProgramExecutor.run / "
-        "TestingInfrastructure.run shim; compile the program with "
-        "repro.bender.compile_program(...) and run the payload via "
-        "execute(...)"
-    )
-    node_types = (ast.Call,)
-
-    #: constructors whose instances expose the deprecated ``.run``.
-    _CONSTRUCTORS = {
-        "repro.bender.ProgramExecutor",
-        "repro.bender.executor.ProgramExecutor",
-        "repro.bender.TestingInfrastructure",
-        "repro.bender.infrastructure.TestingInfrastructure",
-    }
-
-    #: receiver names conventionally bound to executor/infrastructure
-    #: instances in this codebase.
-    _RECEIVER_NAMES = {"executor", "infra", "infrastructure", "bench"}
-
-    #: the shim definition sites themselves stay exempt.
-    _SHIM_MODULES = {"repro.bender.executor", "repro.bender.infrastructure"}
-
-    def __init__(self) -> None:
-        self._legacy_names: set[str] = set()
-
-    def applies_to(self, context: FileContext) -> bool:
-        """Everywhere in the package except the shims' own modules."""
-        return context.module not in self._SHIM_MODULES
-
-    def check_module(self, context: FileContext) -> Iterable[LintDiagnostic]:
-        """Collect in-file variables assigned from the legacy constructors."""
-        self._legacy_names = set()
-        for node in ast.walk(context.tree):
-            if not isinstance(node, ast.Assign):
-                continue
-            if not isinstance(node.value, ast.Call):
-                continue
-            if context.resolve(node.value.func) not in self._CONSTRUCTORS:
-                continue
-            for target in node.targets:
-                if isinstance(target, ast.Name):
-                    self._legacy_names.add(target.id)
-        return ()
-
-    def _receiver_is_legacy(self, receiver: ast.AST, context: FileContext) -> bool:
-        if isinstance(receiver, ast.Call):
-            return context.resolve(receiver.func) in self._CONSTRUCTORS
-        dotted = context.dotted_name(receiver)
-        if dotted is None:
-            return False
-        tail = dotted.rsplit(".", 1)[-1]
-        return tail in self._RECEIVER_NAMES or dotted in self._legacy_names
-
-    def check(self, node: ast.Call, context: FileContext) -> Iterable[LintDiagnostic]:
-        """Flag ``.run(...)`` on executor/infrastructure receivers."""
-        func = node.func
-        if not isinstance(func, ast.Attribute) or func.attr != "run":
-            return
-        if self._receiver_is_legacy(func.value, context):
-            yield self.found(
-                context,
-                node,
-                "deprecated .run(...) call; compile the program with "
-                "repro.bender.compile_program(...) and execute the payload",
-            )
-
-
 class RequireFutureAnnotationsRule(Rule):
     """Modules that define anything need postponed annotation evaluation."""
 
@@ -549,7 +469,6 @@ def default_rules() -> Sequence[Rule]:
         NoMutableDefaultRule(),
         UnknownFaultPointRule(),
         UnknownMetricNameRule(),
-        NoLegacyExecutorApiRule(),
         RequireFutureAnnotationsRule(),
     )
 

@@ -31,23 +31,6 @@ class BankState:
         self.ready = pre_time + timing.tRP
         return self.ready
 
-    def advance_loop(self, iterations: int, period_ns: float) -> None:
-        """Closed-form update for steady ACT→PRE loop iterations.
-
-        Once a command loop reaches steady state every iteration shifts
-        the bank's clocks by exactly one period, so ``iterations`` more
-        iterations collapse into one O(1) translation — the
-        memory-controller analog of the executor's bulk-deposit path
-        (:mod:`repro.bender.executor`).
-        """
-        if iterations <= 0:
-            return
-        shift = iterations * period_ns
-        self.last_act += shift
-        self.ready += shift
-        if self.open_row is not None:
-            self.open_since += shift
-
 
 @dataclass
 class DramState:
@@ -95,10 +78,3 @@ class DramState:
             if state.open_row is not None:
                 state.close(time_ns, self.timing)
             state.ready = max(state.ready, time_ns) + self.timing.tRFC
-
-    def service_cost(self, hit: bool) -> float:
-        """Data latency of a scheduled access (CAS, plus ACT on a miss)."""
-        timing = self.timing
-        if hit:
-            return timing.tCL + timing.tBL
-        return timing.tRCD + timing.tCL + timing.tBL

@@ -166,12 +166,6 @@ class RealSystemMemoryController:
         self.stats["conflicts"] += 1
         return self.latency.row_conflict + noise, "conflict"
 
-    def close_all(self, now_ns: float) -> None:
-        """Precharge every open row (test/bench convenience)."""
-        for (rank, bank) in list(self._open):
-            self.module.device.precharge(rank, bank, now_ns)
-        self._open.clear()
-
     def open_row_of(self, rank: int, bank: int) -> int | None:
         """Currently open row of a bank, if any."""
         state = self._open.get((rank, bank))

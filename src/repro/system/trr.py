@@ -42,12 +42,6 @@ class TrrSampler:
         table.append(address.row)
         self.sampled_activations += 1
 
-    def observe_bulk(self, address: RowAddress, count: int) -> None:
-        """Record ``count`` back-to-back activations of one row."""
-        if count > 0:
-            self.observe(address, 0.0)
-            self.sampled_activations += count - 1
-
     def targets_for_refresh(self, rank: int, bank: int) -> list[RowAddress]:
         """Victim rows to refresh on the next REF of a bank (and reset)."""
         table = self._table(rank, bank)

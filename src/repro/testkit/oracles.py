@@ -320,9 +320,8 @@ def _mutate_progcheck_blind() -> Iterator[None]:
 def _check_isa_equivalence(program) -> None:
     """Compiled-payload execution is byte-identical to interpretation.
 
-    The reference side drives the executor's internal entry point
-    directly (no payload, per-run loop analysis) so the differential is
-    against the interpreter engine itself, not the deprecation shim.
+    The reference side is :meth:`ProgramExecutor.interpret` (no
+    payload, per-run loop analysis), the interpreter engine itself.
     Every observable of the run must match bit-for-bit: end time,
     per-opcode command counts, loop iterations, activations, and each
     row read's bytes and bitflips — or, when the program is illegal,
@@ -337,7 +336,7 @@ def _check_isa_equivalence(program) -> None:
     interpreted = compiled = None
     interpreted_error = compiled_error = None
     try:
-        interpreted = ProgramExecutor(interpreted_device)._execute(program)
+        interpreted = ProgramExecutor(interpreted_device).interpret(program)
     except (TimingViolation, RuntimeError, ValueError) as error:
         interpreted_error = error
     try:

@@ -403,18 +403,6 @@ class Warehouse:
                 self._connection.rollback()
                 raise
 
-    def discard_source(self, key: str) -> None:
-        """Drop one source and all its records/shards (idempotent)."""
-        with self._lock:
-            try:
-                self._connection.execute(
-                    "DELETE FROM sources WHERE key = ?", (key,)
-                )
-                self._connection.commit()
-            except BaseException:
-                self._connection.rollback()
-                raise
-
     # -- integrity and rebuild -----------------------------------------
 
     def torn_sources(self) -> list[dict]:

@@ -42,39 +42,39 @@ def test_trp_violation_detected():
         ]
     )
     with pytest.raises(TimingViolation):
-        runner.run(program)
+        runner.interpret(program)
 
 
 def test_tras_violation_detected():
     runner = executor()
     program = Program([Act(RowAddress(0, 0, 5)), Wait(10.0), Pre(0, 0)])
     with pytest.raises(TimingViolation):
-        runner.run(program)
+        runner.interpret(program)
 
 
 def test_timing_checks_can_be_disabled():
     runner = executor()
     runner.check_timing = False
     program = Program([Act(RowAddress(0, 0, 5)), Wait(10.0), Pre(0, 0)])
-    runner.run(program)  # no exception
+    runner.interpret(program)  # no exception
 
 
 def test_activation_counting():
     runner = executor()
-    result = runner.run(hammer_program(20, 36.0, 1234))
+    result = runner.interpret(hammer_program(20, 36.0, 1234))
     assert result.activations == 1234
 
 
 def test_duration_reflects_loop():
     runner = executor()
-    result = runner.run(hammer_program(20, 36.0, 1000))
+    result = runner.interpret(hammer_program(20, 36.0, 1000))
     # loop duration plus the fixed fill/read housekeeping costs
     assert result.duration == pytest.approx(1000 * 51.0, abs=1000.0)
 
 
 def test_reads_collected_with_flips():
     runner = executor()
-    result = runner.run(hammer_program(20, 36.0, 900_000))
+    result = runner.interpret(hammer_program(20, 36.0, 900_000))
     assert len(result.reads) == 2
     assert result.bitflips  # 900K reference activations exceed row minima
 
@@ -84,7 +84,7 @@ def test_bulk_loop_matches_literal_execution():
     module_literal = build_module("S3", geometry=geometry)
     module_bulk = build_module("S3", geometry=geometry)
     program = hammer_program(20, 7800.0, 120)
-    literal_result = ProgramExecutor(module_literal.device).run(
+    literal_result = ProgramExecutor(module_literal.device).interpret(
         Program(
             [
                 instruction
@@ -94,7 +94,7 @@ def test_bulk_loop_matches_literal_execution():
             ]
         )
     )
-    bulk_result = ProgramExecutor(module_bulk.device).run(program)
+    bulk_result = ProgramExecutor(module_bulk.device).interpret(program)
     literal_flips = {(f.address.row, f.column) for f in literal_result.bitflips}
     bulk_flips = {(f.address.row, f.column) for f in bulk_result.bitflips}
     assert literal_flips == bulk_flips
@@ -122,12 +122,12 @@ def test_unbalanced_loop_falls_back_to_literal():
             )
         ]
     )
-    result = runner.run(program)
+    result = runner.interpret(program)
     assert result.activations == 20
 
 
 def test_runs_are_isolated_in_time():
     runner = executor()
-    runner.run(hammer_program(20, 36.0, 1000))
+    runner.interpret(hammer_program(20, 36.0, 1000))
     # A second run restarting at time zero must not trip timing checks.
-    runner.run(hammer_program(40, 36.0, 1000))
+    runner.interpret(hammer_program(40, 36.0, 1000))

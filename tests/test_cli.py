@@ -140,27 +140,12 @@ def test_global_obs_flags_work_for_every_subcommand(tmp_path, capsys):
     assert "counters" in json.loads(metrics.read_text())
 
 
-def test_deprecated_subcommand_obs_flags_warn_but_work(tmp_path, capsys):
-    trace = tmp_path / "trace.json"
-    with pytest.warns(DeprecationWarning, match="--trace-out"):
-        code = main(["acmin", "S3", "--row", "60", "--trace-out", str(trace)])
-    assert code == 0
-    capsys.readouterr()
-    assert trace.exists()
-
-
-def test_deprecated_flag_does_not_clobber_global_value(tmp_path):
-    # A deprecated subcommand flag overrides the global spelling, and a
-    # global-only value survives the subparser (argparse SUPPRESS
-    # semantics: the subparser writes nothing unless the flag appears).
-    parser = build_parser()
-    with pytest.warns(DeprecationWarning):
-        args = parser.parse_args(
-            ["--trace-out", "global.json", "acmin", "S3", "--trace-out", "sub.json"]
-        )
-    assert args.trace_out == "sub.json"
-    args = parser.parse_args(["--metrics-out", "m.json", "acmin", "S3"])
-    assert args.metrics_out == "m.json"
+def test_obs_flags_after_subcommand_rejected():
+    # Observability flags are global only: after the subcommand they are
+    # an unknown argument, not a second spelling.
+    with pytest.raises(SystemExit) as error:
+        build_parser().parse_args(["acmin", "S3", "--trace-out", "t.json"])
+    assert error.value.code == 2
 
 
 def test_unknown_command_rejected():

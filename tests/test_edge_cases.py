@@ -55,7 +55,7 @@ def test_zero_iteration_loop_is_noop():
     executor = ProgramExecutor(device)
     address = RowAddress(0, 0, 10)
     program = Program([Loop(0, (Act(address), Wait(36.0), Pre(0, 0), Wait(15.0)))])
-    result = executor.run(program)
+    result = executor.interpret(program)
     assert result.activations == 0
     assert result.duration == 0.0
 

@@ -1,9 +1,11 @@
 """Parallel campaign engine: sharding, equivalence, resume, retries."""
 
+import gc
 import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,8 @@ from repro.characterization.campaign import CampaignSpec, run_campaign
 from repro.characterization.engine import (
     CampaignCheckpoint,
     ShardFailure,
+    _process_context,
+    execute_shard,
     plan_shards,
     run_engine,
 )
@@ -455,3 +459,26 @@ def test_stop_check_before_any_shard_runs_nothing(tmp_path):
     assert result.interrupted
     assert result.shards_run == 0
     assert result.records == []
+
+
+# ----------------------------------------------------------------------
+# per-thread runner
+# ----------------------------------------------------------------------
+
+
+def test_thread_keeps_only_the_runner_of_its_latest_spec():
+    """A long-lived worker frees a spec's runner once it moves on."""
+    first = small_spec(name="runner-a", t_aggon_values=(36.0,), sites_per_module=1)
+    second = small_spec(name="runner-b", t_aggon_values=(36.0,), sites_per_module=1)
+    (first_shard,) = plan_shards(first, shard_size=1)
+    (second_shard,) = plan_shards(second, shard_size=1)
+
+    assert execute_shard(first.to_json(), first_shard).ok
+    first_runner = weakref.ref(_process_context(first.to_json(), False)[0])
+    assert execute_shard(second.to_json(), second_shard).ok
+    second_runner, _ = _process_context(second.to_json(), False)
+    gc.collect()
+    assert first_runner() is None
+    # Shards of one spec still share its runner.
+    assert execute_shard(second.to_json(), second_shard).ok
+    assert _process_context(second.to_json(), False)[0] is second_runner

@@ -51,8 +51,8 @@ def test_bulk_loop_equals_literal_replay(rows, t_ons, count):
     assume(all(b - a >= 4 for a, b in zip(spread, spread[1:])))
     bulk_device = build_module("S3", geometry=GEOMETRY).device
     literal_device = build_module("S3", geometry=GEOMETRY).device
-    ProgramExecutor(bulk_device).run(_loop_program(rows, t_ons, count))
-    ProgramExecutor(literal_device).run(_unrolled(rows, t_ons, count))
+    ProgramExecutor(bulk_device).interpret(_loop_program(rows, t_ons, count))
+    ProgramExecutor(literal_device).interpret(_unrolled(rows, t_ons, count))
     now = 1e12
     for row in range(5, 90):
         if row in rows:

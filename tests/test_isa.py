@@ -147,7 +147,7 @@ def test_loop_crossing_the_refresh_window_is_rejected_by_the_bench():
 
 def test_compiled_payload_matches_interpreter_bit_for_bit():
     program = hammer_program(20, 7800.0, 90_000)
-    interpreted = ProgramExecutor(fresh_device())._execute(program)
+    interpreted = ProgramExecutor(fresh_device()).interpret(program)
     compiled = execute(compile_program(program), fresh_device())
     assert compiled.end_time == interpreted.end_time
     assert compiled.activations == interpreted.activations
@@ -155,16 +155,6 @@ def test_compiled_payload_matches_interpreter_bit_for_bit():
         read.data.tobytes() for read in interpreted.reads
     ]
     assert compiled.bitflips == interpreted.bitflips
-
-
-def test_legacy_run_spellings_warn_but_still_work():
-    program = hammer_program(20, 36.0, 10)
-    with pytest.warns(DeprecationWarning, match="compile_program"):
-        result = ProgramExecutor(fresh_device()).run(program)
-    assert result.activations == 10
-    bench = TestingInfrastructure(build_module("S3", geometry=full_width_geometry()))
-    with pytest.warns(DeprecationWarning, match="compile_program"):
-        assert bench.run(program).activations == 10
 
 
 # ----------------------------------------------------------------------

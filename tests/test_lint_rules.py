@@ -309,49 +309,6 @@ def test_unknown_fault_point_accepts_registry_names_and_constants():
     assert "unknown-fault-point" not in codes(lint(source))
 
 
-def test_no_legacy_executor_api_flags_run_callers():
-    source = (
-        "from __future__ import annotations\n"
-        "from repro.bender import ProgramExecutor\n"
-        "from repro.bender.infrastructure import TestingInfrastructure\n"
-        "def f(device, module, program):\n"
-        "    ProgramExecutor(device).run(program)\n"  # inline constructor
-        "    runner = ProgramExecutor(device)\n"
-        "    runner.run(program)\n"  # variable assigned from the constructor
-        "    bench = TestingInfrastructure(module)\n"
-        "    bench.run(program)\n"  # conventional receiver name
-        "    self_infra_result = obj.infra.run(program)\n"  # dotted receiver
-        "    return self_infra_result\n"
-    )
-    diagnostics = [
-        d for d in lint(source) if d.rule == "no-legacy-executor-api"
-    ]
-    assert len(diagnostics) == 4
-
-
-def test_no_legacy_executor_api_allows_new_api_and_other_runners():
-    source = (
-        "from __future__ import annotations\n"
-        "from repro.bender import compile_program, execute\n"
-        "def f(device, simulator, program, bench):\n"
-        "    payload = compile_program(program)\n"
-        "    execute(payload, device)\n"
-        "    bench.execute(payload)\n"
-        "    simulator.run()\n"  # unrelated runner name: not flagged
-        "    return payload\n"
-    )
-    assert "no-legacy-executor-api" not in codes(lint(source))
-    # The shim modules themselves are exempt.
-    shim = (
-        "from __future__ import annotations\n"
-        "def run(self, program):\n"
-        "    return self.executor.run(program)\n"
-    )
-    assert "no-legacy-executor-api" not in codes(
-        lint(shim, path="src/repro/bender/infrastructure.py")
-    )
-
-
 def test_require_future_annotations_only_when_defining():
     defines = "def f():\n    return 1\n"
     assert "require-future-annotations" in codes(lint(defines))

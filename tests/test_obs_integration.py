@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 
+from repro.bender.isa import compile_program
 from repro.characterization.campaign import (
     CampaignSpec,
     load_results,
@@ -80,7 +81,9 @@ def test_executor_command_bookkeeping(s3_bench):
     program, _ = build_disturb_program(
         RowSite(0, 1, 40), 36.0, 5000, ExperimentConfig()
     )
-    result = s3_bench.run(program)
+    result = s3_bench.execute(
+        compile_program(program, s3_bench.module.device.timing)
+    )
     # The hammer loop issues one ACT + PRE per iteration, warm-up literal
     # and the rest bulk-deposited — bookkeeping must count them all.
     assert result.act_commands >= 5000
@@ -124,14 +127,14 @@ def test_cli_campaign_trace_and_metrics_flags(tmp_path, capsys):
     assert (
         main(
             [
-                "campaign",
-                str(spec_path),
-                "--output",
-                str(out),
                 "--trace-out",
                 str(trace),
                 "--metrics-out",
                 str(metrics),
+                "campaign",
+                str(spec_path),
+                "--output",
+                str(out),
             ]
         )
         == 0

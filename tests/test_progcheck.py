@@ -223,7 +223,7 @@ def test_executor_verify_rejects_malformed_program_before_running():
     runner = _executor()
     program = drop_pres(single_sided_pattern(LOW, TIMING.tRAS, 100, TIMING))
     with pytest.raises(ProgramVerificationError) as error:
-        runner.run(program, verify=True)
+        runner.interpret(program, verify=True)
     assert "double-act" in str(error.value)
     assert runner.device.activation_count == 0  # nothing executed
 
@@ -231,7 +231,7 @@ def test_executor_verify_rejects_malformed_program_before_running():
 def test_executor_verify_passes_clean_program():
     runner = _executor()
     program = single_sided_pattern(LOW, TIMING.tRAS, 10, TIMING)
-    result = runner.run(program, verify=True)
+    result = runner.interpret(program, verify=True)
     assert result.act_commands == 10
 
 

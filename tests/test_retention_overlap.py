@@ -2,6 +2,7 @@
 
 from repro import units
 from repro.dram.geometry import RowAddress
+from repro.bender.isa import compile_program
 from repro.characterization.overlap import cell_set, overlap_ratio
 from repro.characterization.retention_test import retention_failures
 from repro.characterization.ber import measure_ber
@@ -50,10 +51,14 @@ def test_press_hammer_overlap_is_tiny(s3_bench):
     from repro.characterization.patterns import build_disturb_program, max_activations
 
     program, _ = build_disturb_program(site, 36.0, max_activations(36.0))
-    hammer_flips = s3_bench.run(program).bitflips
+    hammer_flips = s3_bench.execute(
+        compile_program(program, s3_bench.module.device.timing)
+    ).bitflips
     s3_bench.fresh_experiment()
     program, _ = build_disturb_program(site, units.TREFI, max_activations(units.TREFI))
-    press_flips = s3_bench.run(program).bitflips
+    press_flips = s3_bench.execute(
+        compile_program(program, s3_bench.module.device.timing)
+    ).bitflips
     assert press_flips and hammer_flips
     assert overlap_ratio(press_flips, hammer_flips) < 0.013  # paper bound
 
@@ -64,7 +69,9 @@ def test_press_retention_overlap_is_tiny(s3_bench, s3_module):
 
     s3_bench.fresh_experiment()
     program, victims = build_disturb_program(site, units.TREFI, max_activations(units.TREFI))
-    press_flips = s3_bench.run(program).bitflips
+    press_flips = s3_bench.execute(
+        compile_program(program, s3_bench.module.device.timing)
+    ).bitflips
     retention = retention_failures(s3_module, victims)
     retention_flips = [f for flips in retention.values() for f in flips]
     assert press_flips

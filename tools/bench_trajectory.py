@@ -186,7 +186,7 @@ def bench_isa_compiled(smoke: bool) -> dict:
 
     interpreter_device = build_module("S3", geometry=geometry).device
     start = time.perf_counter()
-    interpreted = ProgramExecutor(interpreter_device)._execute(unrolled)
+    interpreted = ProgramExecutor(interpreter_device).interpret(unrolled)
     interpreter_wall_s = time.perf_counter() - start
 
     assert compiled.activations == interpreted.activations == activations
