@@ -42,7 +42,6 @@ import json
 import math
 import multiprocessing
 import threading
-import time
 import traceback
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
@@ -81,9 +80,6 @@ logger = get_logger("characterization.engine")
 
 #: Checkpoint-file schema (the JSONL sidecar, not the results file).
 CHECKPOINT_SCHEMA_VERSION = 1
-
-#: Retry backoff ceiling in seconds.
-_BACKOFF_CAP_S = 2.0
 
 #: Worker id the engine's own loop leases its shards under.
 _ENGINE_WORKER = "engine"
@@ -177,14 +173,6 @@ def plan_shards(spec: CampaignSpec, shard_size: int = 4) -> list[ShardSpec]:
     return shards
 
 
-def _backoff_s(base_s: float, attempt: int, seed: int) -> float:
-    """Bounded exponential backoff with deterministic per-shard jitter."""
-    if base_s <= 0.0 or attempt < 1:
-        return 0.0
-    jitter = 1.0 + (seed % 997) / 997.0  # in [1, 2), stable per shard
-    return min(base_s * (2.0 ** (attempt - 1)) * jitter, _BACKOFF_CAP_S)
-
-
 # ----------------------------------------------------------------------
 # shard execution (shared by the in-process path and pool workers)
 # ----------------------------------------------------------------------
@@ -260,7 +248,6 @@ class _ShardTask:
     shard: ShardSpec
     attempt: int
     observe: bool
-    backoff_s: float
     trace_header: str | None = None
     profile: bool = False
 
@@ -350,16 +337,13 @@ def _attempt_shard(
     observer: Observer,
     attempt: int,
     fault_hook: Callable[[ShardSpec, int], None] | None,
-    backoff_s: float,
 ) -> _ShardOutcome:
-    """One shard attempt after its retry backoff; never raises.
+    """One shard attempt; never raises.
 
     A failure comes back as a structured outcome with the error and its
     traceback, which the lease table keeps in the permanent
     :class:`ShardFailure` once the retry budget is spent.
     """
-    if backoff_s > 0.0:
-        time.sleep(backoff_s)
     start = monotonic_s()
     try:
         units, flips = _run_shard_units(
@@ -401,7 +385,6 @@ def _execute_shard(task: _ShardTask) -> _ShardOutcome:
         observer,
         task.attempt,
         _FAULT_HOOK,
-        task.backoff_s,
     )
     outcome.spans = observer.tracer.drain()
     outcome.metrics = observer.metrics.drain() if observer.metrics.enabled else {}
@@ -433,7 +416,6 @@ def execute_shard(
             shard=shard,
             attempt=attempt,
             observe=observe,
-            backoff_s=0.0,
             trace_header=trace_header,
         )
     )
@@ -605,10 +587,8 @@ def run_engine(
     checkpoint: str | Path | None = None,
     resume: bool = False,
     max_retries: int = 2,
-    retry_backoff_s: float = 0.05,
     observer: Observer | None = None,
     fault_hook: Callable[[ShardSpec, int], None] | None = None,
-    stop_check: Callable[[], bool] | None = None,
     profiler: SamplingProfiler | None = None,
 ) -> EngineResult:
     """Execute a campaign spec as a sharded, checkpointed campaign.
@@ -617,21 +597,14 @@ def run_engine(
     ``workers>1`` fans shards out over a process pool.  With
     ``checkpoint`` set, every completed shard is persisted; with
     ``resume=True`` and an existing checkpoint, already-completed shards
-    are skipped.  Shards that raise are retried up to ``max_retries``
-    times with bounded backoff, then surfaced in ``failures``.  The
+    are skipped.  Shards that raise are retried at once, up to
+    ``max_retries`` times, then surfaced in ``failures``.  The
     returned records are order-normalized to sequential sweep order, so
     for a fully successful run they equal
     :func:`~repro.characterization.campaign.run_campaign` on the same
     spec.  ``fault_hook`` is a test-only failure injector called at the
     start of every shard attempt.  Those scheduling rules belong to the
     lease table the run goes through (see the module docstring).
-
-    ``stop_check`` is the graceful-drain hook (used by ``repro serve``'s
-    SIGTERM handling): it is polled before each shard attempt starts,
-    and once it returns True no further attempts start — in-flight
-    shards finish and checkpoint, and the result comes back with
-    ``interrupted=True`` so a later ``resume=True`` run completes the
-    remainder.
 
     ``profiler`` (a started :class:`~repro.obs.SamplingProfiler`, usually
     the CLI's) extends sampling into pool workers: each shard attempt is
@@ -680,14 +653,9 @@ def run_engine(
         )
 
     def next_grant():
-        """The next shard attempt to start, or None (drained or no work)."""
-        if stop_check is not None and stop_check():
-            return None
+        """The next shard attempt to start, or None once none is pending."""
         grants = table.acquire(_ENGINE_WORKER)
         return grants[0] if grants else None
-
-    def backoff_s(grant) -> float:
-        return _backoff_s(retry_backoff_s, grant.attempt, grant.shard.seed)
 
     def settle(grant, outcome: _ShardOutcome) -> None:
         done = table.complete(
@@ -722,8 +690,7 @@ def run_engine(
                 settle(
                     grant,
                     _attempt_shard(
-                        runner, spec, grant.shard, obs, grant.attempt,
-                        fault_hook, backoff_s(grant),
+                        runner, spec, grant.shard, obs, grant.attempt, fault_hook
                     ),
                 )
         elif status.shards_pending:
@@ -744,8 +711,9 @@ def run_engine(
 
                 def pump() -> None:
                     # A window of two shards per worker rather than all
-                    # upfront, so a drain request stops the queue
-                    # promptly: only the in-flight window still completes.
+                    # upfront: each worker has its next shard queued while
+                    # the parent settles a completion, and a failed
+                    # shard's retry waits behind the window only.
                     while len(in_flight) < 2 * pool_size and (
                         grant := next_grant()
                     ) is not None:
@@ -754,7 +722,6 @@ def run_engine(
                             shard=grant.shard,
                             attempt=grant.attempt,
                             observe=observe,
-                            backoff_s=backoff_s(grant),
                             trace_header=trace_header,
                             profile=profiler is not None,
                         )
@@ -786,14 +753,6 @@ def run_engine(
             resumed=result.shards_resumed,
             retries=result.retries,
             failures=len(result.failures),
-            interrupted=result.interrupted,
         )
     obs.progress.finish()
-    if result.interrupted:
-        logger.info(
-            "campaign %s drained after %d/%d shards; resume to finish",
-            spec.name,
-            result.shards_resumed + result.shards_run + len(result.failures),
-            result.shards_total,
-        )
     return result

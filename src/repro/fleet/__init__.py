@@ -3,9 +3,10 @@
 The campaign engine decomposes a run into deterministic,
 independently-seeded shards; :mod:`repro.fleet` promotes that shard to
 a network work unit.  The lease table (:mod:`repro.fleet.leases`)
-schedules shards for every campaign — in-process for
-:func:`~repro.characterization.engine.run_engine`, and over HTTP with
-TTLs and fencing epochs for pull-based workers; the worker side
+schedules shards for every campaign — privately in-process for
+:func:`~repro.characterization.engine.run_engine`, and in the service
+with TTLs and fencing epochs for its own local backend and for
+pull-based workers over HTTP; the worker side
 (:mod:`repro.fleet.worker`) is the ``repro worker`` process.  See
 ``docs/FLEET.md`` for the protocol walkthrough and failure matrix.
 

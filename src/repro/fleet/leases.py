@@ -3,12 +3,15 @@
 The campaign engine's shard — one (module x site-block x sweep-point)
 cell with a deterministic seed — is an independent, restartable unit of
 work.  A :class:`LeaseManager` owns the shard tables of open jobs and
-hands shards out as **leases**: over HTTP to pull-based ``repro worker``
-processes for the service's fleet backend, and in-process (no HTTP,
-infinite TTL) to :func:`~repro.characterization.engine.run_engine`'s
-own loop.  Either way the table alone decides what runs next, when a
-failed shard retries or fails permanently, what a resumed run skips,
-and the sweep order the results come back in.
+hands shards out as **leases**.  The service's table serves every job
+of ``repro serve``: over HTTP to pull-based ``repro worker`` processes,
+and in-process to the supervisor itself (worker id ``local``) on the
+local backend.  ``repro campaign`` runs through a private table (no
+HTTP, infinite TTL) inside
+:func:`~repro.characterization.engine.run_engine`.  Either way the table
+alone decides what runs next, when a failed shard retries (at once) or
+fails permanently, what a resumed run skips, and the sweep order the
+results come back in.
 
 The protocol invariants (exercised by ``tests/test_fleet_leases.py``):
 
@@ -205,12 +208,6 @@ class CompletionResult:
     #: checkpoint: call it off the event loop to append the shard (or
     #: failure) line to the job's engine checkpoint (at most once).
     checkpoint_append: Callable[[], None] | None = None
-    #: Set on ``"accepted"``: the owning job and the checkpoint shard
-    #: line, so the HTTP layer can stream the shard into the result
-    #: warehouse (off the event loop; exactly-once is the warehouse's
-    #: job, keyed by shard id).
-    job_id: str | None = None
-    shard_payload: dict | None = None
 
 
 @dataclass(frozen=True)
@@ -301,12 +298,14 @@ class _FleetJob:
 class LeaseManager:
     """Owns shard leases for every open job.
 
-    One instance lives inside :class:`~repro.service.server.
-    CampaignService`; the HTTP handlers call :meth:`acquire`,
-    :meth:`heartbeat`, and :meth:`complete` on the event loop, and the
-    :class:`~repro.service.jobs.JobSupervisor` opens/closes jobs around
-    them.  :func:`~repro.characterization.engine.run_engine` runs every
-    campaign through a private instance with ``ttl_s=math.inf``.
+    The service builds one instance with its lease TTL and shares it
+    with its :class:`~repro.service.jobs.JobSupervisor`: the HTTP
+    handlers call :meth:`acquire` and :meth:`heartbeat` on the event
+    loop, the supervisor opens and closes jobs around them and leases
+    local-backend shards itself, and every completion goes through
+    :meth:`JobSupervisor.complete <repro.service.jobs.JobSupervisor.complete>`.
+    :func:`~repro.characterization.engine.run_engine` runs every
+    ``repro campaign`` through a private instance with ``ttl_s=math.inf``.
     ``clock`` defaults to the repo's monotonic single-clock and is
     injectable so the protocol tests can force expiry deterministically.
     """
@@ -599,8 +598,6 @@ class LeaseManager:
                 if job.checkpoint is None
                 else lambda: job.checkpoint.record_shard_payload(line)
             ),
-            job_id=job.job_id,
-            shard_payload=line,
         )
 
     def _completion_failed(

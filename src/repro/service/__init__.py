@@ -13,8 +13,8 @@ Layers:
   submissions dedup into one stored schema-v2 results file.
 - :mod:`repro.service.jobs` — job lifecycle, bounded queue with
   token-bucket rate limiting, persistence/recovery, and the supervisor
-  that drives :func:`repro.characterization.engine.run_engine` with
-  checkpoint/resume.
+  that runs every job's shards through the :mod:`repro.fleet` lease
+  table with checkpoint/resume.
 - :mod:`repro.service.server` — dependency-free asyncio HTTP/1.1 JSON
   API with NDJSON progress streaming and graceful SIGTERM drain.
 - :mod:`repro.service.client` — typed blocking client with retry,

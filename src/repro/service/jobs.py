@@ -11,14 +11,14 @@ spec, so resubmitting an identical (spec, seed, modules) campaign lands
 on the same job — deduplicated while in flight, served from the result
 cache once done.  Every state change persists the job's JSON record
 under ``<data_dir>/jobs/``, and the supervisor runs each job with a
-per-job engine checkpoint — through
-:func:`repro.characterization.engine.run_engine` (``local`` backend) or
-the :class:`~repro.fleet.leases.LeaseManager` (``fleet`` backend) — so
-a service restart (or SIGTERM drain) re-enqueues unfinished jobs and
-they resume shard-by-shard instead of starting over.  Both backends
-hand back the same :class:`~repro.characterization.engine.EngineResult`
-and settle through one path, which stores the results and feeds the
-warehouse from the job checkpoint.
+per-job engine checkpoint through the service's
+:class:`~repro.fleet.leases.LeaseManager`, so a service restart (or
+SIGTERM drain) re-enqueues unfinished jobs and they resume
+shard-by-shard instead of starting over.  Both backends take that one
+path: the supervisor leases a ``local`` job's shards to itself, and
+``repro worker`` processes lease a ``fleet`` job's.  Every job settles
+the same way, which stores the results and feeds the warehouse once,
+from the job checkpoint.
 
 Backpressure is explicit: :meth:`JobManager.submit` raises
 :class:`RateLimited` when a client exceeds its token bucket and
@@ -31,6 +31,8 @@ from __future__ import annotations
 import asyncio
 import json
 import time
+import traceback
+from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -39,14 +41,20 @@ from repro.characterization.campaign import CampaignSpec
 from repro.characterization.engine import (
     CampaignCheckpoint,
     EngineResult,
+    _pool_context,
+    execute_shard,
     plan_shards,
-    run_engine,
 )
-from repro.fleet.leases import LeaseManager
+from repro.fleet.leases import (
+    CompletionResult,
+    LeaseError,
+    LeaseGrant,
+    LeaseManager,
+    outcome_to_payload,
+)
 from repro.obs import (
     MetricsRegistry,
     NullTracer,
-    Observer,
     ProgressEvent,
     ProgressReporter,
     TraceContext,
@@ -85,6 +93,9 @@ FAILED = "failed"
 
 #: States a job never leaves on its own (failed jobs can be resubmitted).
 TERMINAL_STATES = (DONE, FAILED)
+
+#: Worker id the supervisor leases local-backend shards under.
+_LOCAL_WORKER = "local"
 
 
 class RateLimited(Exception):
@@ -446,24 +457,25 @@ class JobManager:
 
 
 class JobSupervisor:
-    """Runs queued jobs through the campaign engine, one at a time.
+    """Runs queued jobs one at a time, every shard through the lease table.
 
-    Two backends share the job lifecycle and produce byte-identical
-    results (every shard's records are a pure function of its seed):
+    Each job opens in the service's :class:`~repro.fleet.leases.
+    LeaseManager` and settles through one path.  The two backends differ
+    only in who leases the shards, and produce byte-identical results
+    (every shard's records are a pure function of its seed):
 
-    * ``backend="local"`` — the engine call runs on a worker thread
-      (``asyncio.to_thread``) so the event loop keeps serving requests;
-      ``engine_workers > 1`` additionally fans shards out over the
-      engine's process pool.
-    * ``backend="fleet"`` — shards are published to the
-      :class:`~repro.fleet.leases.LeaseManager` and pulled over HTTP by
-      ``repro worker`` processes; the supervisor just watches progress
-      and closes the job when every shard is accounted for.
+    * ``backend="local"`` — the supervisor leases them to itself (worker
+      id ``local``), up to ``engine_workers`` at a time, and runs each
+      with :func:`~repro.characterization.engine.execute_shard` on a
+      dedicated thread (``engine_workers == 1``) or a process pool, so
+      the event loop keeps serving requests;
+    * ``backend="fleet"`` — ``repro worker`` processes pull them over
+      HTTP; the supervisor just watches progress.
 
-    Both start from the same checkpoint rule and end in the same
-    :meth:`_settle`.  The ``draining`` callable doubles as the engine's
-    ``stop_check`` (and the fleet loop's), so a SIGTERM stops the
-    current job at the next shard boundary with its checkpoint intact.
+    Every completion, local or remote, goes through :meth:`complete`.
+    Once ``draining`` returns True no further local shard is leased;
+    local shards already running finish and checkpoint, then the job
+    closes ``interrupted`` with its checkpoint intact.
     """
 
     def __init__(
@@ -477,13 +489,12 @@ class JobSupervisor:
         tracer: Tracer | NullTracer | None = None,
         backend: str = "local",
         lease_manager: LeaseManager | None = None,
-        checkpoint_lock: asyncio.Lock | None = None,
         warehouse=None,
     ) -> None:
         if backend not in ("local", "fleet"):
             raise ValueError(f"backend must be 'local' or 'fleet', got {backend!r}")
-        if backend == "fleet" and lease_manager is None:
-            raise ValueError("backend='fleet' requires a lease_manager")
+        if engine_workers < 1:
+            raise ValueError(f"engine_workers must be >= 1, got {engine_workers}")
         self.manager = manager
         self.checkpoints_dir = Path(checkpoints_dir)
         self.checkpoints_dir.mkdir(parents=True, exist_ok=True)
@@ -492,24 +503,24 @@ class JobSupervisor:
         self.draining = draining if draining is not None else lambda: False
         self.metrics = metrics if metrics is not None else manager.metrics
         self.backend = backend
-        self.lease_manager = lease_manager
-        #: Optional :class:`repro.warehouse.Warehouse`.  Completed jobs
-        #: are indexed under their job id (== result-store key) from the
-        #: job checkpoint when the job settles; the fleet backend also
-        #: streams shards as completions arrive (see the HTTP layer),
-        #: and the settle catch-up skips those by shard provenance.  The
-        #: warehouse is derived state — ingest failures are logged,
-        #: never fail the job, and ``repro warehouse rebuild`` heals.
-        self.warehouse = warehouse
-        #: Shared with the HTTP layer: accepted-completion checkpoint
-        #: appends hold it, and :meth:`_run_fleet` takes it before
-        #: closing a job so a close never races an in-flight append.
-        self.checkpoint_lock = (
-            checkpoint_lock if checkpoint_lock is not None else asyncio.Lock()
+        self.lease_manager = (
+            lease_manager
+            if lease_manager is not None
+            else LeaseManager(metrics=self.metrics)
         )
-        #: The service-wide tracer; each job's engine trace is collected
-        #: on a per-job tracer (parented by the job's ``trace_parent``)
-        #: and folded into this one when the job settles.
+        #: Optional :class:`repro.warehouse.Warehouse`.  A done job is
+        #: indexed under its job id (== result-store key) from the job
+        #: checkpoint when it settles.  The warehouse is derived state —
+        #: ingest failures are logged, never fail the job, and ``repro
+        #: warehouse rebuild`` heals.
+        self.warehouse = warehouse
+        #: Held while :meth:`complete` appends a checkpoint line and while
+        #: a job closes, so a close never races an in-flight append (or
+        #: the post-settle unlink could leave a headerless stray file).
+        self._checkpoint_lock = asyncio.Lock()
+        #: The service-wide tracer; each job's trace is collected on a
+        #: per-job tracer (parented by the job's ``trace_parent``) and
+        #: folded into this one when the job settles.
         self.tracer: Tracer | NullTracer = tracer if tracer is not None else NullTracer()
 
     async def run(self) -> None:
@@ -561,7 +572,7 @@ class JobSupervisor:
         return ckpt, {}
 
     async def run_job(self, job: Job) -> None:
-        """Execute one job through the selected backend and settle it."""
+        """Execute one job through the lease table and settle it."""
         fleet = self.backend == "fleet"
         self._enter_state(job, RUNNING, **({"backend": "fleet"} if fleet else {}))
         await asyncio.to_thread(self.manager.persist, job)
@@ -575,12 +586,8 @@ class JobSupervisor:
             trace_shift_s = self.tracer.now_s()
         started_s = monotonic_s()
         try:
-            # The local engine re-reads the checkpoint this leaves usable.
             ckpt, resumed = await asyncio.to_thread(self._open_checkpoint, job)
-            if fleet:
-                result = await self._run_fleet(job, ckpt, resumed, job_tracer)
-            else:
-                result = await self._run_local(job, job_tracer)
+            result = await self._run_shards(job, ckpt, resumed, job_tracer)
         except Exception as error:  # job isolation boundary: never kill the loop
             await self._fail(job, f"{type(error).__name__}: {error}")
             return
@@ -589,54 +596,42 @@ class JobSupervisor:
                 self.tracer.ingest(job_tracer.drain(), shift_s=trace_shift_s)
         await self._settle(job, result, monotonic_s() - started_s)
 
-    async def _run_local(
-        self, job: Job, job_tracer: Tracer | NullTracer
-    ) -> EngineResult:
-        """Execute one job through the in-process engine."""
-        loop = asyncio.get_running_loop()
+    async def complete(
+        self, lease_id: str, worker_id: str, epoch: int, payload: dict
+    ) -> CompletionResult:
+        """Apply one shard completion and append its checkpoint line.
 
-        def progress_sink(event: ProgressEvent) -> None:
-            # Called on the engine thread; hop onto the loop thread.
-            loop.call_soon_threadsafe(_publish_progress, job, event)
+        The one completion path: the ``POST /v1/leases/{id}/complete``
+        route calls it for remote workers, and the local backend for its
+        own shards.  Raises :class:`~repro.fleet.leases.LeaseError` when
+        the table rejects the upload.
+        """
+        async with self._checkpoint_lock:
+            result = self.lease_manager.complete(lease_id, worker_id, epoch, payload)
+            if result.checkpoint_append is not None:
+                await asyncio.to_thread(result.checkpoint_append)
+        return result
 
-        observer = Observer(
-            metrics=self.metrics,
-            tracer=job_tracer,
-            progress=ProgressReporter(label=job.job_id, sink=progress_sink),
-        )
-        return await asyncio.to_thread(
-            run_engine,
-            job.spec,
-            workers=self.engine_workers,
-            shard_size=self.shard_size,
-            checkpoint=self.checkpoint_path(job),
-            resume=True,
-            observer=observer,
-            stop_check=self.draining,
-        )
-
-    async def _run_fleet(
+    async def _run_shards(
         self,
         job: Job,
         ckpt: CampaignCheckpoint,
         resumed: dict[str, dict],
         job_tracer: Tracer | NullTracer,
     ) -> EngineResult:
-        """Publish one job's shards to the fleet and wait for them.
+        """Open one job's shards in the lease table and wait for them.
 
-        The supervisor never executes a shard itself: it opens the job in
-        the :class:`~repro.fleet.leases.LeaseManager`, translates lease
-        activity into the same progress events the local backend emits,
-        and closes the job when every shard is completed or permanently
-        failed.  A drain closes it early, ``interrupted``, with its
-        checkpoint intact — outstanding worker uploads are fenced off and
-        a restart resumes the remaining shards.
+        Lease activity becomes the job's progress events, and the job
+        closes when every shard is completed or permanently failed.  A
+        drain closes it early, ``interrupted``, with its checkpoint
+        intact: local shards already running finish first, outstanding
+        remote uploads are fenced off, and a restart resumes the
+        remaining shards.
         """
-        assert self.lease_manager is not None  # guaranteed by __init__
         shards = plan_shards(job.spec, self.shard_size)
-        # The fleet trace: one detached span on the job tracer covers the
-        # whole fan-out; its context header rides in every lease so worker
-        # shard spans parent under it across the wire.
+        # The job trace: one detached span on the job tracer covers the
+        # whole fan-out; its context header rides in every lease so shard
+        # spans parent under it, across the wire or from a local pool.
         fleet_span = None
         trace_header = None
         if self.tracer.enabled:
@@ -648,9 +643,6 @@ class JobSupervisor:
 
         changed = asyncio.Event()
         units_total = sum(len(shard.site_indices) for shard in shards)
-        # Open the warehouse source before shards can complete, so the
-        # HTTP layer's streaming ingest always finds it.
-        await asyncio.to_thread(self._warehouse_open, job)
         self.lease_manager.open_job(
             job.job_id,
             job.spec.to_json(),
@@ -668,23 +660,47 @@ class JobSupervisor:
             total=units_total,
             sink=lambda event: _publish_progress(job, event),
         )
-        status = self.lease_manager.job_status(job.job_id)
-        progress.advance(status.units_done, flips=status.flips)
-        while not (status.settled or self.draining()):
-            changed.clear()
-            try:
-                await asyncio.wait_for(changed.wait(), timeout=0.25)
-            except asyncio.TimeoutError:
-                pass
+        running: set[asyncio.Task] = set()
+        executor: Executor | None = None
+        try:
             status = self.lease_manager.job_status(job.job_id)
-            if status.units_done != progress.done:
-                progress.advance(
-                    status.units_done - progress.done,
-                    flips=status.flips - progress.flips,
+            progress.advance(status.units_done, flips=status.flips)
+            if self.backend == "local" and status.shards_pending:
+                # One dedicated thread (not the loop's shared default
+                # executor) keeps the engine's thread-local runner, and
+                # so its sampled cells, warm across the job's shards.
+                executor = (
+                    ThreadPoolExecutor(max_workers=1)
+                    if self.engine_workers == 1
+                    else ProcessPoolExecutor(
+                        max_workers=min(self.engine_workers, status.shards_pending),
+                        mp_context=_pool_context(),
+                    )
                 )
-
-        async with self.checkpoint_lock:
-            result = self.lease_manager.close_job(job.job_id)
+            while True:
+                draining = self.draining()
+                if executor is not None and not draining:
+                    self._lease_local(executor, running, changed)
+                status = self.lease_manager.job_status(job.job_id)
+                if status.units_done != progress.done:
+                    progress.advance(
+                        status.units_done - progress.done,
+                        flips=status.flips - progress.flips,
+                    )
+                if status.settled or (draining and not running):
+                    break
+                changed.clear()
+                try:
+                    await asyncio.wait_for(changed.wait(), timeout=0.25)
+                except asyncio.TimeoutError:
+                    pass
+        finally:
+            if running:
+                await asyncio.wait(running)
+            if executor is not None:
+                await asyncio.to_thread(executor.shutdown)
+            async with self._checkpoint_lock:
+                result = self.lease_manager.close_job(job.job_id)
         if fleet_span is not None:
             for spans, metrics_snapshot, granted_s in result.trace_batches:
                 job_tracer.ingest(spans, parent=fleet_span, shift_s=granted_s)
@@ -697,14 +713,72 @@ class JobSupervisor:
             fleet_span.__exit__(None, None, None)
         return result
 
+    def _lease_local(
+        self, executor: Executor, running: set[asyncio.Task], changed: asyncio.Event
+    ) -> None:
+        """Lease pending shards to this supervisor, up to ``engine_workers``.
+
+        A finished shard wakes the wait loop at once, which refills its
+        slot without waiting for the status poll.
+        """
+        free = self.engine_workers - len(running)
+        if free < 1:
+            return
+        for grant in self.lease_manager.acquire(_LOCAL_WORKER, free):
+            task = asyncio.create_task(self._execute_local_shard(grant, executor))
+            running.add(task)
+            task.add_done_callback(running.discard)
+            task.add_done_callback(lambda _task: changed.set())
+
+    async def _execute_local_shard(self, grant: LeaseGrant, executor: Executor) -> None:
+        """Run one locally leased shard and complete it; never raises.
+
+        The lease is heartbeated every third of its TTL while the shard
+        runs.  An exception from the executor itself (a killed pool
+        process, a runner that cannot be built) becomes a failed attempt,
+        so the table's retry budget applies and the job still settles.
+        """
+        loop = asyncio.get_running_loop()
+        try:
+            future = loop.run_in_executor(
+                executor,
+                execute_shard,
+                grant.spec_json,
+                grant.shard,
+                grant.attempt,
+                grant.observe,
+                grant.trace_parent,
+            )
+            while not (await asyncio.wait({future}, timeout=grant.ttl_s / 3.0))[0]:
+                self.lease_manager.heartbeat(grant.lease_id, _LOCAL_WORKER, grant.epoch)
+            payload = outcome_to_payload(future.result())
+        except LeaseError as error:
+            logger.warning(
+                "local shard %s lost its lease: %s", grant.shard.shard_id, error
+            )
+            return
+        except Exception as error:  # surfaced as a failed attempt
+            payload = {
+                "ok": False,
+                "shard_id": grant.shard.shard_id,
+                "error": f"{type(error).__name__}: {error}",
+                "traceback": traceback.format_exc(),
+            }
+        try:
+            await self.complete(grant.lease_id, _LOCAL_WORKER, grant.epoch, payload)
+        except LeaseError as error:
+            logger.warning(
+                "local shard %s completion rejected: %s", grant.shard.shard_id, error
+            )
+
     async def _settle(
         self, job: Job, result: EngineResult, elapsed_s: float
     ) -> None:
         """Finish a job either backend ran: interrupted, failed, or done.
 
         A done job's records go to the result store, and the warehouse
-        catches its source up from the job checkpoint and finalizes it
-        before the checkpoint is unlinked.
+        ingests the job checkpoint and finalizes the source before the
+        checkpoint is unlinked.
         """
         if result.interrupted:
             self._enter_state(job, INTERRUPTED, shards_run=result.shards_run)
@@ -749,28 +823,13 @@ class JobSupervisor:
             result.shards_resumed,
         )
 
-    def _warehouse_open(self, job: Job) -> None:
-        """Open the streaming warehouse source for a fleet job (thread)."""
-        if self.warehouse is None:
-            return
-        try:
-            self.warehouse.open_source(
-                job.spec, key=job.job_id, kind="checkpoint"
-            )
-        except Exception:
-            logger.exception(
-                "warehouse source open failed for fleet job %s", job.job_id
-            )
-
     def _warehouse_finalize(self, job: Job) -> None:
-        """Catch up and finalize a done job's warehouse source (thread).
+        """Ingest a done job's checkpoint and finalize its source (thread).
 
-        Shards streamed live are skipped by provenance (exactly-once);
-        everything else in the checkpoint — every shard of a local job,
-        and fleet shards resumed from a pre-existing checkpoint, which
-        never passed through the HTTP completion path — is ingested
-        here, so the source converges to the checkpoint before it is
-        finalized and the checkpoint file unlinked.
+        This is the only place a service job reaches the warehouse.
+        Analytics read only finalized sources, so nothing is lost by not
+        ingesting shards while the job runs.  A source left by an earlier
+        crash is caught up by shard provenance (exactly-once).
         """
         if self.warehouse is None:
             return

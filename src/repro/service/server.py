@@ -1,16 +1,15 @@
 """Campaign-as-a-service: a dependency-free asyncio HTTP/1.1 server.
 
-The service turns the PR 3 campaign engine into a multi-tenant job
-system, the way litex-rowhammer-tester exposes its payload executor
-behind a remote client.  Submitted campaigns run on one of two
-backends, selected by ``ServiceConfig.backend``: ``local`` drives the
-engine's in-process pool on the server box, while ``fleet`` publishes
-each job's shards to the :mod:`repro.fleet` lease manager and
-``repro worker`` processes pull them over the ``/v1/leases`` API —
-same spec, byte-identical results either way.  Both are scheduled by
-the same lease table (the engine runs a private in-process one) and
-settle through one supervisor path that stores the results and
-finalizes the job's warehouse source from its checkpoint.
+The service turns the campaign engine into a multi-tenant job system,
+the way litex-rowhammer-tester exposes its payload executor behind a
+remote client.  Every submitted campaign opens its shards in the
+service's :mod:`repro.fleet` lease table.  ``ServiceConfig.backend``
+selects who leases them: ``local`` runs them on the server box (the
+supervisor leases them to itself), while with ``fleet`` ``repro worker``
+processes pull them over the ``/v1/leases`` API — same spec,
+byte-identical results either way.  Both complete shards through one
+supervisor method and settle through one path that stores the results
+and feeds the job's checkpoint into the warehouse.
 
 Routes (all JSON; see docs/SERVICE.md and docs/FLEET.md)::
 
@@ -47,9 +46,9 @@ one end-to-end trace.
 Backpressure surfaces as ``429`` with ``Retry-After`` (token-bucket
 rate limiting per client, bounded job queue); a draining server answers
 submissions with ``503``.  SIGTERM triggers a graceful drain: stop
-accepting work, stop the running job at the next shard boundary (its
-checkpoint survives), persist state, exit — a restarted server
-re-enqueues and resumes unfinished jobs.
+accepting work, stop leasing the running job's shards (running local
+shards finish and checkpoint; the checkpoint survives), persist state,
+exit — a restarted server re-enqueues and resumes unfinished jobs.
 
 Everything is stdlib: ``asyncio`` transports and a small, strict
 HTTP/1.1 request parser.  The matching blocking client lives in
@@ -172,11 +171,11 @@ class ServiceConfig:
     queue_limit: int = 16
     rate_per_s: float = 50.0
     rate_burst: float = 100.0
-    #: Where submitted jobs execute: ``"local"`` runs the engine in this
-    #: process; ``"fleet"`` leases shards to ``repro worker`` processes.
+    #: Who leases submitted jobs' shards: ``"local"`` runs them in this
+    #: process; ``"fleet"`` leaves them to ``repro worker`` processes.
     backend: str = "local"
-    #: Fleet lease TTL: a worker must heartbeat within this window or its
-    #: shard is reassigned to another worker.
+    #: Lease TTL: a worker (local or remote) must heartbeat within this
+    #: window or its shard is reassigned to another worker.
     lease_ttl_s: float = 10.0
     #: When set, the actually-bound port is written here once listening
     #: (useful with ``port=0`` for tests and benchmarks).
@@ -276,7 +275,7 @@ class CampaignService:
         declare_standard_metrics(self.metrics)
         self.store = ResultStore(self.data_dir / "results")
         #: Derived columnar index over completed results; analytics
-        #: queries and streaming fleet ingest go through here.  All
+        #: queries and each done job's settle go through here.  All
         #: warehouse calls hop to worker threads (sqlite is blocking).
         self.warehouse = Warehouse(
             self.data_dir / "warehouse.sqlite3", metrics=self.metrics
@@ -292,10 +291,6 @@ class CampaignService:
         self.lease_manager = LeaseManager(
             ttl_s=config.lease_ttl_s, metrics=self.metrics
         )
-        #: Serializes accepted-completion checkpoint appends against the
-        #: supervisor's close (close must never race an in-flight append,
-        #: or the post-settle unlink could leave a headerless stray file).
-        self._checkpoint_lock = asyncio.Lock()
         self.supervisor = JobSupervisor(
             self.manager,
             self.data_dir / "checkpoints",
@@ -306,7 +301,6 @@ class CampaignService:
             tracer=self.tracer,
             backend=config.backend,
             lease_manager=self.lease_manager,
-            checkpoint_lock=self._checkpoint_lock,
             warehouse=self.warehouse,
         )
         self._draining = False
@@ -351,7 +345,7 @@ class CampaignService:
         )
 
     def begin_drain(self) -> None:
-        """Stop accepting jobs; current job stops at its next shard."""
+        """Stop accepting jobs and leasing the current job's shards."""
         if self._draining:
             return
         self._draining = True
@@ -658,9 +652,8 @@ class CampaignService:
 
         Both present the worker id and the fencing epoch the lease was
         granted under; a stale pair answers ``409`` and the worker must
-        discard its result.  Accepted completions append to the job's
-        engine checkpoint off the loop, serialized by the checkpoint
-        lock so the supervisor's close never races an in-flight append.
+        discard its result.  Completions go through
+        :meth:`JobSupervisor.complete`, the path local shards take too.
         """
         try:
             payload = self._json_body(request)
@@ -681,44 +674,14 @@ class CampaignService:
             result_payload = payload.get("result")
             if not isinstance(result_payload, dict):
                 raise LeaseError("completion is missing its 'result' object")
-            async with self._checkpoint_lock:
-                result = self.lease_manager.complete(
-                    lease_id, worker_id, epoch, result_payload
-                )
-                if result.checkpoint_append is not None:
-                    await asyncio.to_thread(result.checkpoint_append)
-                if result.outcome == "accepted" and result.shard_payload:
-                    # Stream the accepted shard into the warehouse.  The
-                    # warehouse is a derived index: an ingest failure is
-                    # logged, never fails the completion (rebuild heals).
-                    await asyncio.to_thread(
-                        self._warehouse_ingest_shard,
-                        result.job_id,
-                        result.shard_payload,
-                    )
+            result = await self.supervisor.complete(
+                lease_id, worker_id, epoch, result_payload
+            )
         except LeaseError as error:
             await self._send_json(writer, error.status, {"error": str(error)})
             return True
         await self._send_json(writer, 200, {"outcome": result.outcome})
         return True
-
-    def _warehouse_ingest_shard(self, job_id: str, payload: dict) -> None:
-        """Stream one accepted fleet shard into the warehouse (thread).
-
-        Exactly-once lives in the warehouse (per-shard provenance key),
-        so replays after lease reassignment ingest nothing.  Failures
-        are logged and swallowed: the warehouse is derived state and
-        ``repro warehouse rebuild`` reconverges it from the store.
-        """
-        try:
-            self.warehouse.ingest_shard(job_id, payload)
-        except Exception:
-            logger.exception(
-                "warehouse shard ingest failed for job %s (shard %s); "
-                "the warehouse may need a rebuild",
-                job_id,
-                payload.get("shard_id"),
-            )
 
     async def _get_analytics(
         self, report: str, request: HttpRequest, writer: asyncio.StreamWriter
@@ -927,9 +890,9 @@ async def _serve_async(config: ServiceConfig, observer: Observer | None) -> int:
 def serve(config: ServiceConfig, observer: Observer | None = None) -> int:
     """Blocking entry point for ``repro serve``.
 
-    Runs until SIGTERM/SIGINT, then drains gracefully: in-flight work
-    stops at the next shard boundary with its checkpoint intact, job
-    state is persisted, and a later ``repro serve`` on the same data
+    Runs until SIGTERM/SIGINT, then drains gracefully: no further shard
+    is leased, running local shards finish and checkpoint, job state is
+    persisted, and a later ``repro serve`` on the same data
     directory resumes whatever was unfinished.
     """
     try:

@@ -264,8 +264,7 @@ def _always_fail_p0(shard, attempt):
 def test_inline_retry_recovers():
     spec = small_spec()
     result = run_engine(
-        spec, workers=1, shard_size=2,
-        fault_hook=_fail_first_attempt, retry_backoff_s=0.0,
+        spec, workers=1, shard_size=2, fault_hook=_fail_first_attempt
     )
     assert result.ok
     assert result.retries == 2  # one retry per sweep-point-0 shard
@@ -275,8 +274,7 @@ def test_inline_retry_recovers():
 def test_pool_retry_recovers():
     spec = small_spec()
     result = run_engine(
-        spec, workers=2, shard_size=2,
-        fault_hook=_fail_first_attempt, retry_backoff_s=0.0,
+        spec, workers=2, shard_size=2, fault_hook=_fail_first_attempt
     )
     assert result.ok
     assert result.retries == 2
@@ -288,7 +286,7 @@ def test_permanent_failure_is_structured(tmp_path):
     checkpoint = tmp_path / "ck.jsonl"
     result = run_engine(
         spec, workers=1, shard_size=2, checkpoint=checkpoint,
-        fault_hook=_always_fail_p0, max_retries=1, retry_backoff_s=0.0,
+        fault_hook=_always_fail_p0, max_retries=1,
     )
     assert not result.ok
     assert len(result.failures) == 2
@@ -332,8 +330,7 @@ def test_permanent_failure_line_keeps_the_traceback(tmp_path):
 def test_pool_permanent_failure(tmp_path):
     spec = small_spec()
     result = run_engine(
-        spec, workers=2, shard_size=2,
-        fault_hook=_always_fail_p0, max_retries=1, retry_backoff_s=0.0,
+        spec, workers=2, shard_size=2, fault_hook=_always_fail_p0, max_retries=1
     )
     assert not result.ok
     assert len(result.failures) == 2
@@ -388,77 +385,6 @@ def test_pool_engine_merges_worker_observability():
     }
     assert counters["campaign.experiments"] == 6
     assert counters["engine.shards"] == 4
-
-
-# ----------------------------------------------------------------------
-# cooperative stop (service drain)
-# ----------------------------------------------------------------------
-
-
-def test_inline_stop_check_interrupts_between_shards(tmp_path):
-    spec = small_spec()
-    checkpoint = tmp_path / "ck.jsonl"
-    calls = {"n": 0}
-
-    def stop_after_two():
-        calls["n"] += 1
-        return calls["n"] > 2
-
-    result = run_engine(
-        spec,
-        workers=1,
-        shard_size=1,
-        checkpoint=checkpoint,
-        stop_check=stop_after_two,
-    )
-    assert result.interrupted
-    assert not result.ok
-    assert 0 < result.shards_run < result.shards_total
-    # Completed shards are checkpointed; a resume finishes the campaign.
-    resumed = run_engine(
-        spec, workers=1, shard_size=1, checkpoint=checkpoint, resume=True
-    )
-    assert resumed.ok and not resumed.interrupted
-    assert resumed.shards_resumed == result.shards_run
-    assert resumed.records == run_campaign(spec)
-
-
-def test_pool_stop_check_interrupts_and_resumes(tmp_path):
-    spec = small_spec()
-    checkpoint = tmp_path / "ck.jsonl"
-    calls = {"n": 0}
-
-    def stop_after_first_wait():
-        calls["n"] += 1
-        return calls["n"] > 2
-
-    result = run_engine(
-        spec,
-        workers=2,
-        shard_size=1,
-        checkpoint=checkpoint,
-        stop_check=stop_after_first_wait,
-    )
-    assert result.interrupted
-    assert result.shards_run < result.shards_total
-    resumed = run_engine(
-        spec, workers=2, shard_size=1, checkpoint=checkpoint, resume=True
-    )
-    assert resumed.ok
-    assert resumed.records == run_campaign(spec)
-
-
-def test_stop_check_before_any_shard_runs_nothing(tmp_path):
-    result = run_engine(
-        small_spec(),
-        workers=1,
-        shard_size=2,
-        checkpoint=tmp_path / "ck.jsonl",
-        stop_check=lambda: True,
-    )
-    assert result.interrupted
-    assert result.shards_run == 0
-    assert result.records == []
 
 
 # ----------------------------------------------------------------------

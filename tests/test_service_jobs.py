@@ -2,10 +2,13 @@
 
 import asyncio
 import json
+import time
 
 import pytest
 
 from repro.characterization.campaign import CampaignSpec, run_campaign
+from repro.characterization.engine import _ShardOutcome, plan_shards
+from repro.fleet.leases import LeaseManager
 from repro.service.jobs import (
     DONE,
     FAILED,
@@ -19,6 +22,8 @@ from repro.service.jobs import (
     TokenBucket,
 )
 from repro.service.store import ResultStore, spec_key
+from repro.testkit import FaultPlan, FaultSpec
+from repro.testkit.points import ENGINE_SHARD_START
 
 
 def small_spec(**kwargs):
@@ -280,11 +285,19 @@ def test_supervisor_failure_isolates_job(tmp_path, monkeypatch):
         def explode(*args, **kwargs):
             raise RuntimeError("engine fell over")
 
-        monkeypatch.setattr("repro.service.jobs.run_engine", explode)
-        await supervisor.run_job(job)
+        # An exception out of the executor is a failed attempt: the
+        # retry budget runs out and the job settles failed (a lease left
+        # held would instead re-lease every TTL and never settle).
+        with monkeypatch.context() as patch:
+            patch.setattr("repro.service.jobs.execute_shard", explode)
+            await asyncio.wait_for(supervisor.run_job(job), timeout=60.0)
         assert job.state == FAILED
         assert "engine fell over" in job.error
         assert job.events[-1]["event"] == "failed"
+        # Nothing was left open in the lease table: the same job reruns.
+        job.state = QUEUED
+        await asyncio.wait_for(supervisor.run_job(job), timeout=60.0)
+        assert job.state == DONE, job.error
 
     run_async(scenario())
 
@@ -337,5 +350,81 @@ def test_local_job_feeds_the_warehouse_like_a_batch_ingest(tmp_path):
             batch.ingest_records(spec, run_campaign(spec), key=job.job_id)
             for name in ("sweep", "acmin", "modules"):
                 assert warehouse.analytics(name) == batch.analytics(name)
+
+    run_async(scenario())
+
+
+# ----------------------------------------------------------------------
+# local backend: the supervisor leases shards from its own table
+# ----------------------------------------------------------------------
+
+
+def counter(metrics, name):
+    return sum(
+        entry["value"]
+        for entry in metrics.to_dict()["counters"]
+        if entry["name"] == name
+    )
+
+
+def test_local_job_leases_its_shards_from_the_service_table(tmp_path):
+    async def scenario():
+        manager = make_manager(tmp_path)
+        supervisor = JobSupervisor(
+            manager,
+            tmp_path / "checkpoints",
+            shard_size=1,
+            lease_manager=LeaseManager(metrics=manager.metrics),
+        )
+        spec = small_spec()
+        job, _ = await manager.submit(spec, client="a")
+        await asyncio.wait_for(supervisor.run_job(job), timeout=60.0)
+        assert job.state == DONE, job.error
+        shards = len(plan_shards(spec, shard_size=1))
+        assert counter(manager.metrics, "fleet.leases_granted") == shards
+        assert counter(manager.metrics, "fleet.completions") == shards
+
+    run_async(scenario())
+
+
+def test_local_shard_longer_than_the_lease_ttl_is_heartbeated(tmp_path):
+    async def scenario():
+        manager = make_manager(tmp_path)
+        supervisor = JobSupervisor(
+            manager,
+            tmp_path / "checkpoints",
+            lease_manager=LeaseManager(ttl_s=0.3, metrics=manager.metrics),
+        )
+        spec = small_spec()
+        job, _ = await manager.submit(spec, client="a")
+        with FaultPlan(FaultSpec(ENGINE_SHARD_START, "delay", delay_s=1.0)):
+            await asyncio.wait_for(supervisor.run_job(job), timeout=60.0)
+        assert job.state == DONE, job.error
+        _spec, records = manager.store.load(job.job_id)
+        assert records == run_campaign(spec)
+        assert counter(manager.metrics, "fleet.leases_expired") == 0
+        assert counter(manager.metrics, "fleet.leases_reassigned") == 0
+
+    run_async(scenario())
+
+
+def test_local_shards_do_not_wait_for_the_status_poll(tmp_path, monkeypatch):
+    def instant(spec_json, shard, attempt=0, observe=False, trace_header=None):
+        return _ShardOutcome(
+            shard=shard, attempt=attempt, ok=True, units=[], flips=0, elapsed_s=0.0
+        )
+
+    monkeypatch.setattr("repro.service.jobs.execute_shard", instant)
+
+    async def scenario():
+        manager = make_manager(tmp_path)
+        supervisor = JobSupervisor(manager, tmp_path / "checkpoints", shard_size=1)
+        spec = small_spec(sites_per_module=8)
+        job, _ = await manager.submit(spec, client="a")
+        assert len(plan_shards(spec, shard_size=1)) == 16
+        started = time.monotonic()
+        await asyncio.wait_for(supervisor.run_job(job), timeout=60.0)
+        assert job.state == DONE, job.error
+        assert time.monotonic() - started < 2.0
 
     run_async(scenario())

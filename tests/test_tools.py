@@ -1,5 +1,6 @@
 """Repository tooling (API doc generator, perf-trajectory harness)."""
 
+import importlib.util
 import json
 import subprocess
 import sys
@@ -17,15 +18,18 @@ def _run_trajectory(*args: str) -> subprocess.CompletedProcess:
     )
 
 
-def test_gen_api_docs_runs_and_covers_packages():
-    result = subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "gen_api_docs.py")],
-        capture_output=True,
-        text=True,
-        cwd=ROOT,
+def _gen_api_docs():
+    """The API doc tool as a module; tests never rewrite docs/API.md."""
+    spec = importlib.util.spec_from_file_location(
+        "gen_api_docs", ROOT / "tools" / "gen_api_docs.py"
     )
-    assert result.returncode == 0, result.stderr
-    output = (ROOT / "docs" / "API.md").read_text()
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_gen_api_docs_runs_and_covers_packages():
+    output = _gen_api_docs().render()
     for package in ("dram", "bender", "characterization", "system", "sim",
                     "mitigation", "analysis"):
         assert f"## {package}" in output
@@ -40,12 +44,6 @@ def test_gen_api_docs_covers_service_package():
 
 
 def test_gen_api_docs_check_passes_when_current():
-    subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "gen_api_docs.py")],
-        check=True,
-        capture_output=True,
-        cwd=ROOT,
-    )
     result = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "gen_api_docs.py"), "--check"],
         capture_output=True,
@@ -56,23 +54,15 @@ def test_gen_api_docs_check_passes_when_current():
     assert "up to date" in result.stdout
 
 
-def test_gen_api_docs_check_fails_on_stale_docs(tmp_path):
-    api = ROOT / "docs" / "API.md"
-    original = api.read_text()
-    try:
-        api.write_text(original + "\nstale suffix\n")
-        result = subprocess.run(
-            [sys.executable, str(ROOT / "tools" / "gen_api_docs.py"), "--check"],
-            capture_output=True,
-            text=True,
-            cwd=ROOT,
-        )
-        assert result.returncode == 1
-        assert "stale" in result.stderr
-        # --check must never rewrite the file.
-        assert api.read_text() == original + "\nstale suffix\n"
-    finally:
-        api.write_text(original)
+def test_gen_api_docs_check_fails_on_stale_docs(tmp_path, monkeypatch, capsys):
+    tool = _gen_api_docs()
+    stale = tmp_path / "API.md"
+    stale.write_text(tool.render() + "\nstale suffix\n")
+    monkeypatch.setattr(tool, "OUTPUT", stale)
+    assert tool.main(["--check"]) == 1
+    assert "stale" in capsys.readouterr().err
+    # --check must never rewrite the file.
+    assert stale.read_text() == tool.render() + "\nstale suffix\n"
 
 
 def test_bench_trajectory_smoke_emits_schema_documented_payload(tmp_path):

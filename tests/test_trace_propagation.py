@@ -2,10 +2,10 @@
 
 The acceptance property for the fleet-telemetry work: one submitted
 campaign yields ONE coherent Chrome trace in which the server's
-``http.request`` span is an ancestor of every engine ``campaign.shard``
-span — including shards executed in engine worker *processes*, whose
-spans cross two process boundaries (worker -> supervisor -> service
-tracer) before export.
+``http.request`` span is an ancestor of every ``campaign.shard`` span,
+by way of the job's ``fleet.job`` span — including shards executed in
+local pool *processes*, whose spans cross two process boundaries
+(worker -> supervisor -> service tracer) before export.
 """
 
 from __future__ import annotations
@@ -144,7 +144,7 @@ def test_request_span_is_ancestor_of_every_worker_shard_span(tmp_path, workers):
     for shard in shard_events:
         chain = _ancestors(shard, by_id)
         names = [ancestor["name"] for ancestor in chain]
-        assert "campaign.run" in names
+        assert "fleet.job" in names
         assert "http.request" in names, (
             f"shard span {shard['id']} does not nest under a request span "
             f"(ancestry: {names})"

@@ -1,18 +1,17 @@
-"""Fleet -> warehouse streaming ingestion: exactly-once per shard.
+"""Fleet -> warehouse ingestion: exactly-once per shard.
 
 Two layers of the same contract:
 
-* In-process, against a real :class:`LeaseManager` and two real
-  :class:`FleetWorker` threads, a completion bridge ingests every
-  *accepted* shard into the warehouse exactly the way the service's
-  lease handler does (checkpoint append, then ``ingest_shard``).  The
-  warehouse's row count and per-shard provenance must match the engine
-  checkpoint line-for-line — including when a worker is killed
-  mid-shard and its lease is reassigned, and when the checkpoint is
-  re-ingested wholesale afterwards (the completion catch-up path).
+* In-process, against a real :class:`LeaseManager` and real
+  :class:`FleetWorker` threads, the job checkpoint is fed into the
+  warehouse once the workers finish, the way the service's supervisor
+  does when a job settles.  The warehouse's row count and per-shard
+  provenance must match the engine checkpoint line-for-line — including
+  when a worker is killed mid-shard and its lease is reassigned — and a
+  second pass over the checkpoint must ingest nothing.
 * Over real HTTP, a 2-worker fleet job's analytics answers served by
   ``GET /v1/analytics`` must equal a local warehouse fed the fetched
-  results document — the distributed streaming path and the batch
+  results document — the settle-time checkpoint ingest and the batch
   backfill path converge on identical aggregates.
 """
 
@@ -21,10 +20,8 @@ from __future__ import annotations
 import json
 import threading
 
-from repro.characterization.campaign import run_campaign
-from repro.fleet.leases import LeaseError
+from repro.characterization.campaign import dumps_results
 from repro.fleet.worker import FleetWorker
-from repro.service.client import ServiceError
 from repro.testkit import FaultPlan, FaultSpec
 from repro.testkit.points import FLEET_WORKER_COMPLETE
 from repro.warehouse import Warehouse
@@ -40,32 +37,6 @@ from tests.test_fleet_worker import (
 from tests.test_service_http import ServerProcess
 
 JOB_ID = "job-1"  # the id open_fleet_job registers
-
-
-class WarehouseLeaseClient(InProcessLeaseClient):
-    """The in-process bridge, extended with the service's warehouse hop.
-
-    Mirrors ``CampaignService._post_lease_op``: an *accepted* completion
-    appends to the checkpoint and then streams the same shard line into
-    the warehouse; every other outcome leaves the warehouse untouched.
-    """
-
-    def __init__(self, manager, warehouse):
-        super().__init__(manager)
-        self.warehouse = warehouse
-
-    def lease_complete(self, lease_id, worker_id, epoch, result):
-        result = json.loads(json.dumps(result))
-        with self.lock:
-            try:
-                outcome = self.manager.complete(lease_id, worker_id, epoch, result)
-            except LeaseError as error:
-                raise ServiceError(error.status, str(error))
-            if outcome.checkpoint_append is not None:
-                outcome.checkpoint_append()
-            if outcome.outcome == "accepted" and outcome.shard_payload is not None:
-                self.warehouse.ingest_shard(outcome.job_id, outcome.shard_payload)
-        return {"outcome": outcome.outcome}
 
 
 def checkpoint_shards(ckpt_path) -> dict[str, int]:
@@ -101,22 +72,21 @@ def test_two_worker_job_streams_every_shard_exactly_once(tmp_path):
     spec = small_spec(name="wh-fleet", seed=51)
     clock = FakeClock()
     manager, shards, ckpt = open_fleet_job(tmp_path, spec, clock)
-    with Warehouse(":memory:") as warehouse:
-        warehouse.open_source(spec, key=JOB_ID)
-        client = WarehouseLeaseClient(manager, warehouse)
-        workers = run_workers(client, ("wt-1", "wt-2"))
-        assert sum(w.stats.shards_executed for w in workers) == len(shards)
+    workers = run_workers(InProcessLeaseClient(manager), ("wt-1", "wt-2"))
+    assert sum(w.stats.shards_executed for w in workers) == len(shards)
+    result = manager.close_job(JOB_ID)
+    assert not result.failures
 
-        result = manager.close_job(JOB_ID)
-        assert not result.failures
+    with Warehouse(":memory:") as warehouse:
+        ingested = warehouse.ingest_checkpoint_file(ckpt.path, key=JOB_ID)
         expected = checkpoint_shards(ckpt.path)
         assert set(expected) == {s.shard_id for s in shards}
         assert warehouse.shard_provenance(JOB_ID) == expected
-        assert warehouse.count_records() == sum(expected.values())
+        assert ingested == warehouse.count_records() == sum(expected.values())
         assert warehouse.count_records() == len(result.records)
 
-        # The completion catch-up pass (what the supervisor runs at job
-        # end) re-offers every checkpoint shard; all are duplicates.
+        # A second pass (a settle retried after a crash) re-offers every
+        # checkpoint shard; all are duplicates.
         assert warehouse.ingest_checkpoint_file(ckpt.path, key=JOB_ID) == 0
         assert warehouse.shard_provenance(JOB_ID) == expected
         warehouse.finalize_source(JOB_ID)
@@ -128,36 +98,35 @@ def test_lease_reassignment_never_double_ingests(tmp_path):
     spec = small_spec(name="wh-reassign", seed=52)
     clock = FakeClock()
     manager, shards, ckpt = open_fleet_job(tmp_path, spec, clock)
+    client = InProcessLeaseClient(manager)
+    doomed = FleetWorker(
+        client=client,
+        worker_id="wt-doomed",
+        concurrency=1,
+        poll_s=0.01,
+        max_idle_s=0.5,
+    )
+    plan = FaultPlan(FaultSpec(FLEET_WORKER_COMPLETE, "crash", at_hit=1))
+    with plan, quiet_thread_crashes():
+        doomed.run()
+    assert plan.fired
+
+    clock.advance(TTL_S + 0.1)  # the dead worker's lease expires
+    run_workers(client, ("wt-survivor",))
+    result = manager.close_job(JOB_ID)
+    assert not result.failures
+
     with Warehouse(":memory:") as warehouse:
-        warehouse.open_source(spec, key=JOB_ID)
-        client = WarehouseLeaseClient(manager, warehouse)
-        doomed = FleetWorker(
-            client=client,
-            worker_id="wt-doomed",
-            concurrency=1,
-            poll_s=0.01,
-            max_idle_s=0.5,
-        )
-        plan = FaultPlan(FaultSpec(FLEET_WORKER_COMPLETE, "crash", at_hit=1))
-        with plan, quiet_thread_crashes():
-            doomed.run()
-        assert plan.fired
-
-        clock.advance(TTL_S + 0.1)  # the dead worker's lease expires
-        run_workers(client, ("wt-survivor",))
-        result = manager.close_job(JOB_ID)
-        assert not result.failures
-
+        warehouse.ingest_checkpoint_file(ckpt.path, key=JOB_ID)
         expected = checkpoint_shards(ckpt.path)
         assert set(expected) == {s.shard_id for s in shards}
         assert warehouse.shard_provenance(JOB_ID) == expected
         assert warehouse.count_records() == len(result.records)
+        assert warehouse.ingest_checkpoint_file(ckpt.path, key=JOB_ID) == 0
         warehouse.finalize_source(JOB_ID)
 
-        # The streamed rows answer identically to a batch backfill of
+        # The ingested rows answer identically to a batch backfill of
         # the merged results — reassignment left no trace.
-        from repro.characterization.campaign import dumps_results
-
         with Warehouse(":memory:") as reference:
             reference.ingest_results_text(
                 dumps_results(spec, result.records), key=JOB_ID
@@ -197,9 +166,9 @@ def test_http_fleet_job_serves_warehouse_analytics(tmp_path):
             entry["name"]: entry["value"]
             for entry in client.metrics()["counters"]
         }
-        # Every record streamed into the warehouse exactly once: the
-        # ingest counter equals the job's record count even though the
-        # completion catch-up re-offered every shard (all duplicates).
+        # Every record reached the warehouse exactly once, when the job
+        # settled and its checkpoint was ingested: the ingest counter
+        # equals the job's record count.
         assert counters.get("warehouse.records_ingested") == final.records
         assert counters.get("warehouse.shards_ingested", 0) >= 1
         for worker in workers:
