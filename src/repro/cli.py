@@ -791,7 +791,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--poll-s",
         type=float,
         default=0.25,
-        help="idle poll interval when no shards are available",
+        help="how long one lease request waits for work on the server",
     )
     worker_cmd.add_argument(
         "--max-idle-s",

@@ -11,7 +11,9 @@ HTTP, infinite TTL) inside
 :func:`~repro.characterization.engine.run_engine`.  Either way the table
 alone decides what runs next, when a failed shard retries (at once) or
 fails permanently, what a resumed run skips, and the sweep order the
-results come back in.
+results come back in.  The table also tells its owner when a shard
+becomes leasable (the ``on_pending`` hook), so the service can hold an
+idle worker's ``POST /v1/leases`` open until there is work to grant.
 
 The protocol invariants (exercised by ``tests/test_fleet_leases.py``):
 
@@ -308,6 +310,11 @@ class LeaseManager:
     ``repro campaign`` through a private instance with ``ttl_s=math.inf``.
     ``clock`` defaults to the repo's monotonic single-clock and is
     injectable so the protocol tests can force expiry deterministically.
+    ``on_pending`` is called, synchronously, whenever a shard becomes
+    leasable: a job opens with a shard left to run, a failed attempt is
+    re-queued, or an expired lease returns its shard.  The service sets
+    its long-poll wake event with it; expiry is found lazily, by the
+    next call that scans (``acquire``, ``job_status``, ``stats``, ...).
     """
 
     def __init__(
@@ -316,6 +323,7 @@ class LeaseManager:
         max_retries: int = 2,
         metrics: MetricsRegistry | None = None,
         clock: Callable[[], float] = monotonic_s,
+        on_pending: Callable[[], None] | None = None,
     ) -> None:
         if ttl_s <= 0.0:
             raise ValueError(f"ttl_s must be > 0, got {ttl_s}")
@@ -323,6 +331,7 @@ class LeaseManager:
         self.max_retries = max_retries
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.clock = clock
+        self.on_pending = on_pending
         self._jobs: dict[str, _FleetJob] = {}
         #: lease_id -> (job_id, shard_id, epoch); kept for the life of
         #: the job so stale ids answer with a precise rejection.
@@ -386,6 +395,8 @@ class LeaseManager:
             job.shards_resumed,
         )
         job.changed()
+        if job.pending:
+            self._pending_added()
 
     def job_status(self, job_id: str) -> FleetJobStatus:
         """Progress counts for one open job."""
@@ -641,6 +652,7 @@ class LeaseManager:
             error,
         )
         self._update_gauges()
+        self._pending_added()
         return CompletionResult(outcome="retry")
 
     # -- bookkeeping ----------------------------------------------------
@@ -676,7 +688,12 @@ class LeaseManager:
         if expired:
             self.metrics.counter("fleet.leases_expired").inc(expired)
             self._update_gauges()
+            self._pending_added()
         return expired
+
+    def _pending_added(self) -> None:
+        if self.on_pending is not None:
+            self.on_pending()
 
     def active_workers(self, now: float | None = None) -> int:
         """Workers seen within the last two TTL windows."""

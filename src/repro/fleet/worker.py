@@ -8,6 +8,13 @@ complete, plus one dedicated heartbeat thread that renews every held
 lease at a third of its TTL so a healthy worker never expires while a
 killed one does.
 
+Each lease request is a long-poll of ``poll_s`` seconds: the server
+holds an empty answer until a shard becomes leasable, so an idle worker
+gets a new job's first shard when the job opens.  After an empty reply
+that waited, the worker asks again at once; a reply carrying
+``retry_after_s`` (a server that did not wait, or one that is draining)
+is backed off by ``min(retry_after_s, poll_s)``.
+
 Fault handling is intentionally one-sided: the worker trusts the server
 to fence.  When a heartbeat or completion answers ``409``/``404`` the
 lease was lost (expired and reassigned, or the job settled) and the
@@ -192,11 +199,17 @@ class FleetWorker:
         with self._lock:
             self.stats.lease_polls += 1
         self.metrics.counter("worker.lease_polls").inc()
-        payload = self.client.lease_shards(self.worker_id, max_shards=1)
+        payload = self.client.lease_shards(
+            self.worker_id, max_shards=1, wait_s=self.poll_s
+        )
         leases = payload.get("leases", [])
         if not leases:
-            retry_s = float(payload.get("retry_after_s", self.poll_s))
-            self._stop.wait(min(retry_s, self.poll_s))
+            # An empty reply that waited out the long-poll asks again at
+            # once; one that did not wait (wait_s unsupported, or the
+            # server is draining) carries a hint and is backed off.
+            retry_s = payload.get("retry_after_s")
+            if retry_s is not None:
+                self._stop.wait(min(float(retry_s), self.poll_s))
             return None
         grant = LeaseGrant.from_payload(leases[0])
         with self._lock:

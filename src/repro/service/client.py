@@ -113,24 +113,26 @@ class ServiceClient:
             headers[TRACE_HEADER] = context.to_header()
         return headers
 
-    def _connect(self) -> http.client.HTTPConnection:
+    def _connect(self, wait_s: float = 0.0) -> http.client.HTTPConnection:
         return http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout_s
+            self.host, self.port, timeout=self.timeout_s + wait_s
         )
 
     def _request(
-        self, method: str, path: str, body: str | None = None
+        self, method: str, path: str, body: str | None = None, wait_s: float = 0.0
     ) -> tuple[int, dict]:
         """One JSON request with retries; returns ``(status, payload)``.
 
         Retries connection errors with deterministic exponential backoff
         (``backoff_s * 2**attempt``) and honors ``Retry-After`` on 429
         and 503.  Raises :class:`ServiceError` on any other non-2xx
-        status, or after the retry budget is spent.
+        status, or after the retry budget is spent.  ``wait_s`` is how
+        long the server may hold the reply (a long-poll); it extends the
+        socket timeout.
         """
         last_error: Exception | None = None
         for attempt in range(self.retries + 1):
-            connection = self._connect()
+            connection = self._connect(wait_s)
             try:
                 connection.request(
                     method, path, body=body, headers=self._headers()
@@ -265,17 +267,24 @@ class ServiceClient:
 
     # -- fleet lease protocol ------------------------------------------
 
-    def lease_shards(self, worker_id: str, max_shards: int = 1) -> dict:
+    def lease_shards(
+        self, worker_id: str, max_shards: int = 1, wait_s: float = 0.0
+    ) -> dict:
         """Ask the server for up to ``max_shards`` shard leases.
 
         Returns the raw lease payload: ``{"leases": [...]}`` with each
         entry decodable by :meth:`repro.fleet.leases.LeaseGrant.
-        from_payload`, plus ``retry_after_s`` when the pool is empty.
+        from_payload`.  With ``wait_s`` > 0 the server holds an empty
+        answer up to that long (at most its lease TTL) and grants a
+        shard that becomes leasable meanwhile.  An empty reply carries
+        ``retry_after_s`` only when the server did not wait: ``wait_s``
+        was 0, or the server is draining.
         """
+        request = {"worker_id": worker_id, "max_shards": max_shards}
+        if wait_s:
+            request["wait_s"] = wait_s
         _status, payload = self._request(
-            "POST",
-            "/v1/leases",
-            body=json.dumps({"worker_id": worker_id, "max_shards": max_shards}),
+            "POST", "/v1/leases", body=json.dumps(request), wait_s=wait_s
         )
         return payload
 

@@ -239,6 +239,7 @@ class JobManager:
         rate_per_s: float = 50.0,
         rate_burst: float = 100.0,
         metrics: MetricsRegistry | None = None,
+        shard_size: int = 4,
     ) -> None:
         if queue_limit < 1:
             raise ValueError(f"queue_limit must be >= 1, got {queue_limit}")
@@ -246,6 +247,10 @@ class JobManager:
         self.jobs_dir.mkdir(parents=True, exist_ok=True)
         self.store = store
         self.queue_limit = queue_limit
+        #: The service's shard size: a queued job's ``shards_total`` is
+        #: counted with it (the supervisor recounts with its own plan
+        #: when the job starts).
+        self.shard_size = shard_size
         self.rate_per_s = rate_per_s
         self.rate_burst = rate_burst
         self.metrics = metrics if metrics is not None else MetricsRegistry()
@@ -329,7 +334,7 @@ class JobManager:
             client=client,
             submitted_seq=self._next_seq(),
             submitted_at_s=time.time(),
-            shards_total=len(plan_shards(spec)),
+            shards_total=len(plan_shards(spec, self.shard_size)),
             trace_parent=trace_parent,
             state_entered_s=monotonic_s(),
         )
@@ -394,6 +399,7 @@ class JobManager:
                 # Results vanished (pruned store?): run it again.
                 job.state = QUEUED
             if job.state not in TERMINAL_STATES:
+                job.shards_total = len(plan_shards(job.spec, self.shard_size))
                 job.set_state(QUEUED, resumed=True)
                 recovered.append(job)
             elif job.state == DONE:
@@ -629,6 +635,7 @@ class JobSupervisor:
         remaining shards.
         """
         shards = plan_shards(job.spec, self.shard_size)
+        job.shards_total = len(shards)
         # The job trace: one detached span on the job tracer covers the
         # whole fan-out; its context header rides in every lease so shard
         # spans parent under it, across the wire or from a local pool.

@@ -21,8 +21,8 @@ Routes (all JSON; see docs/SERVICE.md and docs/FLEET.md)::
     GET  /v1/campaigns/{id}/results   schema-v2 results (byte-identical
                                       to a local `repro campaign` run)
     POST /v1/leases                   lease pending shards to a worker
-                                      (fleet backend; empty + Retry-After
-                                      hint when no work is available)
+                                      (a long-poll: ``wait_s`` holds an
+                                      empty answer until work arrives)
     POST /v1/leases/{id}/heartbeat    renew a lease before its TTL
     POST /v1/leases/{id}/complete     upload one shard outcome
                                       (fenced by epoch; idempotent)
@@ -46,9 +46,15 @@ one end-to-end trace.
 Backpressure surfaces as ``429`` with ``Retry-After`` (token-bucket
 rate limiting per client, bounded job queue); a draining server answers
 submissions with ``503``.  SIGTERM triggers a graceful drain: stop
-accepting work, stop leasing the running job's shards (running local
-shards finish and checkpoint; the checkpoint survives), persist state,
-exit — a restarted server re-enqueues and resumes unfinished jobs.
+accepting work, answer waiting lease requests, stop leasing the running
+job's shards (running local shards finish and checkpoint; the
+checkpoint survives), persist state, exit — a restarted server
+re-enqueues and resumes unfinished jobs.
+
+``POST /v1/leases`` is a long-poll, so an idle ``repro worker`` gets a
+new job's first shard when the job opens rather than at its next poll:
+the lease table's ``on_pending`` hook sets one wake event that every
+waiting request watches.
 
 Everything is stdlib: ``asyncio`` transports and a small, strict
 HTTP/1.1 request parser.  The matching blocking client lives in
@@ -63,7 +69,7 @@ import math
 import signal
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable
 from urllib.parse import parse_qs
 
 from repro import __version__
@@ -197,6 +203,9 @@ class HttpRequest:
     #: with the server's own request-span context before routing, so
     #: handlers propagate the request span (not the client span) onward.
     trace_parent: str | None = None
+    #: True once the client has hung up (end of stream, or a reset);
+    #: a long-poll checks it so a dead worker is granted nothing.
+    hung_up: Callable[[], bool] = lambda: False
 
     @property
     def client_id(self) -> str:
@@ -249,6 +258,7 @@ async def _read_request(
         body=body,
         client=client,
         trace_parent=headers.get(TRACE_HEADER.lower()),
+        hung_up=lambda: reader.at_eof() or reader.exception() is not None,
     )
     if length == -1:
         request.headers["x-internal-oversized"] = "1"
@@ -287,9 +297,16 @@ class CampaignService:
             rate_per_s=config.rate_per_s,
             rate_burst=config.rate_burst,
             metrics=self.metrics,
+            shard_size=config.shard_size,
         )
+        #: Set by the lease table whenever a shard becomes leasable, and
+        #: by :meth:`begin_drain`; waiting ``POST /v1/leases`` requests
+        #: wake on it and re-run ``acquire``.
+        self._lease_wake = asyncio.Event()
         self.lease_manager = LeaseManager(
-            ttl_s=config.lease_ttl_s, metrics=self.metrics
+            ttl_s=config.lease_ttl_s,
+            metrics=self.metrics,
+            on_pending=self._lease_wake.set,
         )
         self.supervisor = JobSupervisor(
             self.manager,
@@ -345,12 +362,17 @@ class CampaignService:
         )
 
     def begin_drain(self) -> None:
-        """Stop accepting jobs and leasing the current job's shards."""
+        """Stop accepting jobs and leasing the current job's shards.
+
+        Waiting lease requests answer at once, empty, with a
+        ``retry_after_s`` hint.
+        """
         if self._draining:
             return
         self._draining = True
         logger.info("drain requested: no new jobs; checkpointing in-flight work")
         self.manager.wake()
+        self._lease_wake.set()
 
     async def wait_drained(self) -> None:
         """Block until the supervisor has wound down (after a drain)."""
@@ -611,32 +633,52 @@ class CampaignService:
     ) -> bool:
         """``POST /v1/leases``: hand pending shards to a pull worker.
 
-        An empty grant list is a normal answer (no fleet job open, every
-        shard leased, or the server is draining); it carries a
-        ``retry_after_s`` hint so workers poll politely instead of
-        hammering the API.
+        A long-poll: when nothing is leasable, a request with ``wait_s``
+        > 0 (capped at the lease TTL) is held until a shard becomes
+        leasable (and is granted in this reply), the server starts
+        draining, or the wait runs out.  Every waiting request wakes on
+        each new shard and re-runs ``acquire``; the ones that get
+        nothing wait out the rest of their own window.  Only a reply
+        that did not wait carries a ``retry_after_s`` hint, so workers
+        back off instead of spinning: 0.5 for an empty answer to
+        ``wait_s`` 0, 1.0 while draining.
         """
         try:
             payload = self._json_body(request)
             worker_id = str(payload.get("worker_id") or request.client_id)
             max_shards = int(payload.get("max_shards", 1))
-        except (ValueError, UnicodeDecodeError) as error:
+            wait_s = float(payload.get("wait_s", 0.0))
+            if not wait_s >= 0.0:
+                raise ValueError(f"wait_s must be >= 0, got {wait_s}")
+        except (ValueError, TypeError, UnicodeDecodeError) as error:
             await self._send_json(
                 writer, 400, {"error": f"invalid lease request: {error}"}
             )
             return True
-        if self._draining:
-            await self._send_json(
-                writer, 200, {"leases": [], "retry_after_s": 1.0}
-            )
-            return True
-        try:
-            grants = self.lease_manager.acquire(worker_id, max_shards)
-        except LeaseError as error:
-            await self._send_json(writer, error.status, {"error": str(error)})
-            return True
+        deadline_s = monotonic_s() + min(wait_s, self.lease_manager.ttl_s)
+        grants: list = []
+        while not self._draining:
+            # Clear before acquiring: a shard that turns leasable after
+            # this acquire sets the event again, so no wake-up is lost.
+            self._lease_wake.clear()
+            try:
+                grants = self.lease_manager.acquire(worker_id, max_shards)
+            except LeaseError as error:
+                await self._send_json(writer, error.status, {"error": str(error)})
+                return True
+            remaining_s = deadline_s - monotonic_s()
+            if grants or remaining_s <= 0.0:
+                break
+            try:
+                await asyncio.wait_for(self._lease_wake.wait(), remaining_s)
+            except asyncio.TimeoutError:
+                pass
+            if request.hung_up():
+                break  # the worker died while waiting: grant it nothing
         body: dict = {"leases": [grant.to_payload() for grant in grants]}
-        if not grants:
+        if self._draining:
+            body["retry_after_s"] = 1.0
+        elif not grants and wait_s == 0.0:
             body["retry_after_s"] = 0.5
         await self._send_json(writer, 200, body)
         return True

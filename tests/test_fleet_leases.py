@@ -275,6 +275,70 @@ def test_permanent_failure_keeps_the_worker_traceback(tmp_path):
 
 
 # ----------------------------------------------------------------------
+# on_pending: the long-poll wake hook
+# ----------------------------------------------------------------------
+
+
+def test_on_pending_fires_when_a_job_opens_with_leasable_shards(tmp_path):
+    wakes = []
+    open_manager(tmp_path, on_pending=lambda: wakes.append("wake"))
+    assert wakes == ["wake"]
+
+
+def test_on_pending_fires_when_a_failed_attempt_is_requeued(tmp_path):
+    wakes = []
+    manager, _clock, _shards, _ckpt, _spec = open_manager(
+        tmp_path, on_pending=lambda: wakes.append("wake")
+    )
+    wakes.clear()
+    (grant,) = manager.acquire("w1", max_shards=1)
+    assert wakes == []  # a grant makes nothing leasable
+    outcome = manager.complete(
+        grant.lease_id, "w1", grant.epoch, wire_result(grant, ok=False)
+    )
+    assert outcome.outcome == "retry"
+    assert wakes == ["wake"]
+
+
+def test_on_pending_fires_when_an_expired_lease_returns_its_shard(tmp_path):
+    wakes = []
+    manager, clock, _shards, _ckpt, _spec = open_manager(
+        tmp_path, on_pending=lambda: wakes.append("wake")
+    )
+    wakes.clear()
+    manager.acquire("w1", max_shards=2)
+    clock.advance(TTL_S - 1.0)
+    manager.job_status("job-1")
+    assert wakes == []  # still inside the TTL
+    clock.advance(2.0)
+    assert manager.job_status("job-1").shards_leased == 0
+    assert wakes == ["wake"]  # one scan, one wake for both shards
+
+
+def test_on_pending_is_silent_for_a_job_whose_shards_all_resumed(tmp_path):
+    spec = small_spec()
+    manager, _clock, shards, ckpt, _spec = open_manager(tmp_path, spec)
+    finish(manager)
+    manager.close_job("job-1")
+    resumed = CampaignCheckpoint(tmp_path / "ckpt.jsonl", spec, 1).load()
+    assert len(resumed) == len(shards)
+    wakes = []
+    fresh = LeaseManager(
+        ttl_s=TTL_S, clock=FakeClock(), on_pending=lambda: wakes.append("wake")
+    )
+    fresh.open_job(
+        "job-1",
+        spec.to_json(),
+        shards,
+        resumed,
+        ckpt,
+        units_total=sum(len(shard.site_indices) for shard in shards),
+    )
+    assert fresh.job_status("job-1").settled
+    assert wakes == []
+
+
+# ----------------------------------------------------------------------
 # byte-identity: the core acceptance oracle
 # ----------------------------------------------------------------------
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import contextlib
 import json
 import threading
+import time
 
 from repro.characterization.campaign import (
     CampaignSpec,
@@ -67,7 +68,8 @@ class InProcessLeaseClient:
         self.manager = manager
         self.lock = threading.Lock()
 
-    def lease_shards(self, worker_id, max_shards=1):
+    def lease_shards(self, worker_id, max_shards=1, wait_s=0.0):
+        # Answers at once, as a server that does not wait would.
         with self.lock:
             grants = self.manager.acquire(worker_id, max_shards)
         body = {"leases": [grant.to_payload() for grant in grants]}
@@ -216,3 +218,50 @@ def test_fenced_completion_is_discarded_not_retried(tmp_path):
     assert stats.shards_discarded == 2
     assert stats.shards_executed == 0
     assert not stats.errors  # a fence is protocol, not an error
+
+
+# ----------------------------------------------------------------------
+# long-poll: the worker asks again at once after a reply that waited
+# ----------------------------------------------------------------------
+
+
+class ScriptedLeaseClient(InProcessLeaseClient):
+    """Plays scripted lease replies first, then the table; logs each call."""
+
+    def __init__(self, manager, replies):
+        super().__init__(manager)
+        self.replies = list(replies)
+        self.calls = []  # (monotonic instant, wait_s) per lease request
+
+    def lease_shards(self, worker_id, max_shards=1, wait_s=0.0):
+        self.calls.append((time.monotonic(), wait_s))
+        if self.replies:
+            return self.replies.pop(0)
+        return super().lease_shards(worker_id, max_shards, wait_s=wait_s)
+
+
+def test_worker_asks_again_at_once_after_an_empty_reply_that_waited(tmp_path):
+    manager, _shards, _ckpt = open_fleet_job(tmp_path, small_spec(), FakeClock())
+    client = ScriptedLeaseClient(manager, [{"leases": []}, {"leases": []}])
+    worker = FleetWorker(
+        client=client, worker_id="wt-long", poll_s=5.0, max_shards=1
+    )
+    started = time.monotonic()
+    stats = worker.run()
+    assert stats.shards_executed == 1
+    assert len(client.calls) == 3
+    # Two waited-out empty replies, then the lease: no 5 s sleep between.
+    assert client.calls[2][0] - started < 1.0
+    assert all(wait_s == 5.0 for _, wait_s in client.calls)
+
+
+def test_worker_backs_off_by_retry_after_when_the_server_did_not_wait(tmp_path):
+    manager, _shards, _ckpt = open_fleet_job(tmp_path, small_spec(), FakeClock())
+    client = ScriptedLeaseClient(manager, [{"leases": [], "retry_after_s": 0.2}])
+    worker = FleetWorker(
+        client=client, worker_id="wt-hint", poll_s=5.0, max_shards=1
+    )
+    stats = worker.run()
+    assert stats.shards_executed == 1
+    (first_s, _), (second_s, _) = client.calls[:2]
+    assert 0.2 <= second_s - first_s < 5.0

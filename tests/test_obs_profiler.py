@@ -11,11 +11,17 @@ from repro.obs.profiler import frame_label
 
 
 def _spin(seconds: float) -> int:
-    """Busy-loop with a distinctive frame on the stack."""
+    """Busy-loop with a distinctive frame on the stack.
+
+    The clock is read once per 1,000 passes.  Samples land where this
+    thread yields the interpreter lock; with a clock call on every pass,
+    all of them can land in ``monotonic_s`` and none in ``_spin``.
+    """
     total = 0
     deadline = monotonic_s() + seconds
     while monotonic_s() < deadline:
-        total += 1
+        for _ in range(1000):
+            total += 1
     return total
 
 

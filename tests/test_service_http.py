@@ -142,6 +142,17 @@ def test_event_stream_replays_and_follows_to_done(server):
     assert any(e["event"] == "progress" for e in events)
 
 
+def test_status_counts_shards_at_the_server_shard_size(server):
+    client = server.client(client_id="t-shards")
+    # 8 sites x 2 t_AggON points: 16 shards at this server's --shard-size 1.
+    submitted = client.submit(small_spec(seed=8, sites_per_module=8))
+    assert submitted.state == "queued"
+    assert submitted.shards_total == 16
+    final = client.wait(submitted.job_id, timeout_s=120)
+    assert final.state == "done"
+    assert final.shards_total == 16
+
+
 def test_healthz_and_server_header_advertise_version(server):
     client = server.client()
     health = client.healthz()

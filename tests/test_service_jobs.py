@@ -331,6 +331,30 @@ def test_unusable_checkpoint_restarts_instead_of_failing(tmp_path):
     run_async(scenario())
 
 
+def test_shards_total_counts_the_service_shard_size(tmp_path):
+    async def scenario():
+        manager = make_manager(tmp_path, shard_size=1)
+        supervisor = JobSupervisor(manager, tmp_path / "checkpoints", shard_size=1)
+        spec = small_spec(sites_per_module=8)
+        assert len(plan_shards(spec, shard_size=1)) == 16
+        job, _ = await manager.submit(spec, client="a")
+        assert job.state == QUEUED
+        assert job.shards_total == 16
+        assert job.to_payload()["shards_total"] == 16
+        await asyncio.wait_for(supervisor.run_job(job), timeout=60.0)
+        assert job.state == DONE, job.error
+        assert job.shards_total == 16
+        # A supervisor planning at another size recounts when it starts.
+        other = small_spec(sites_per_module=8, seed=6)
+        job, _ = await manager.submit(other, client="a")
+        resized = JobSupervisor(manager, tmp_path / "checkpoints", shard_size=2)
+        await asyncio.wait_for(resized.run_job(job), timeout=60.0)
+        assert job.state == DONE, job.error
+        assert job.shards_total == len(plan_shards(other, shard_size=2)) == 8
+
+    run_async(scenario())
+
+
 def test_local_job_feeds_the_warehouse_like_a_batch_ingest(tmp_path):
     from repro.warehouse import Warehouse
 
