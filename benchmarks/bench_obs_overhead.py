@@ -12,13 +12,20 @@ default 5 ms interval must not slow the profiled work beyond its
 budget, since ``repro campaign --profile-out`` is meant to be safe on
 production-sized campaigns.
 
-Timing is noisy on shared runners, so the guard takes the best of
-several repetitions per configuration before comparing.
+One execute of the program takes only a fraction of a millisecond, so
+a single preemption would swamp it.  Each timed sample therefore repeats
+the execute until it has run for at least 20 ms, and the two
+configurations alternate: each pair is one baseline sample and one
+candidate sample run back to back, so load that drifts on a shared
+runner over seconds hits both halves of a pair alike.  The guard takes
+the median of the pairs' ratios.
 """
 
 from __future__ import annotations
 
+import statistics
 import time
+from collections.abc import Callable
 
 from repro.bender.infrastructure import TestingInfrastructure
 from repro.bender.isa import compile_program
@@ -42,11 +49,18 @@ MAX_OVERHEAD = 1.15
 #: pure-instrumentation guard.
 MAX_PROFILER_OVERHEAD = 1.25
 
-_REPS = 5
+#: Each timed sample lasts at least this long.
+_SAMPLE_S = 0.020
+_PAIRS = 21
 _SITE = RowSite(0, 1, 100)
 
 
-def _bench(observer: Observer | None) -> float:
+def _executor(observer: Observer | None) -> Callable[[int], float]:
+    """A bench running the program; calling it times ``n`` executes.
+
+    Only the executes are timed, not the resets between them.  One
+    untimed execute first materializes the row's cells.
+    """
     geometry = Geometry(
         ranks=1, bank_groups=1, banks_per_group=2, rows_per_bank=256, row_bits=8192
     )
@@ -55,22 +69,57 @@ def _bench(observer: Observer | None) -> float:
     config = ExperimentConfig()
     program, _ = build_disturb_program(_SITE, 36.0, 20_000, config)
     payload = compile_program(program, config.timing)
-    best = float("inf")
-    for _ in range(_REPS):
-        bench.fresh_experiment()
-        start = time.perf_counter()
-        bench.execute(payload)
-        best = min(best, time.perf_counter() - start)
-    return best
+    bench.execute(payload)
+
+    def timed(executes: int) -> float:
+        elapsed = 0.0
+        for _ in range(executes):
+            bench.fresh_experiment()
+            start = time.perf_counter()
+            bench.execute(payload)
+            elapsed += time.perf_counter() - start
+        return elapsed
+
+    return timed
+
+
+def _executes_per_sample(timed: Callable[[int], float]) -> int:
+    """Smallest power of two of executes that lasts ``_SAMPLE_S``."""
+    executes = 1
+    while timed(executes) < _SAMPLE_S:
+        executes *= 2
+    return executes
+
+
+def _paired_samples(
+    baseline: Callable[[], float], candidate: Callable[[], float]
+) -> tuple[float, float, float]:
+    """Run ``_PAIRS`` back-to-back pairs; both medians and the median ratio."""
+    baseline_samples, candidate_samples = [], []
+    for _ in range(_PAIRS):
+        baseline_samples.append(baseline())
+        candidate_samples.append(candidate())
+    ratios = [c / b for b, c in zip(baseline_samples, candidate_samples)]
+    return (
+        statistics.median(baseline_samples),
+        statistics.median(candidate_samples),
+        statistics.median(ratios),
+    )
 
 
 def test_null_observer_overhead(benchmark):
-    null_best = benchmark.pedantic(lambda: _bench(None), rounds=1, iterations=1)
-    instrumented_best = _bench(Observer.create(progress_sink=lambda event: None))
-    ratio = instrumented_best / null_best if null_best > 0 else 1.0
+    null = _executor(None)
+    instrumented = _executor(Observer.create(progress_sink=lambda event: None))
+    executes = _executes_per_sample(null)
+    null_median, instrumented_median, ratio = benchmark.pedantic(
+        lambda: _paired_samples(lambda: null(executes), lambda: instrumented(executes)),
+        rounds=1,
+        iterations=1,
+    )
     print(
-        f"\nexecutor best-of-{_REPS}: null={null_best * 1e3:.2f}ms "
-        f"instrumented={instrumented_best * 1e3:.2f}ms ratio={ratio:.3f}"
+        f"\nexecutor, {_PAIRS} pairs of {executes} executes (medians): "
+        f"null={null_median * 1e3:.2f}ms instrumented={instrumented_median * 1e3:.2f}ms "
+        f"ratio={ratio:.3f}"
     )
     assert ratio < MAX_OVERHEAD, (
         f"instrumentation overhead {ratio:.2f}x exceeds {MAX_OVERHEAD:.2f}x budget"
@@ -78,20 +127,23 @@ def test_null_observer_overhead(benchmark):
 
 
 def test_sampling_profiler_overhead(benchmark):
-    plain_best = benchmark.pedantic(lambda: _bench(None), rounds=1, iterations=1)
+    plain = _executor(None)
+    executes = _executes_per_sample(plain)
     profiler = SamplingProfiler(interval_s=0.005)
-    profiled_best = float("inf")
-    # Interleave plain and profiled passes so drift on a shared runner
-    # hits both configurations roughly equally.
-    for _ in range(2):
+
+    def profiled() -> float:
         with profiler:
-            profiled_best = min(profiled_best, _bench(None))
-        plain_best = min(plain_best, _bench(None))
-    ratio = profiled_best / plain_best if plain_best > 0 else 1.0
+            return plain(executes)
+
+    plain_median, profiled_median, ratio = benchmark.pedantic(
+        lambda: _paired_samples(lambda: plain(executes), profiled),
+        rounds=1,
+        iterations=1,
+    )
     print(
-        f"\nexecutor best-of-{_REPS}: plain={plain_best * 1e3:.2f}ms "
-        f"profiled={profiled_best * 1e3:.2f}ms ratio={ratio:.3f} "
-        f"({profiler.sample_count} samples)"
+        f"\nexecutor, {_PAIRS} pairs of {executes} executes (medians): "
+        f"plain={plain_median * 1e3:.2f}ms profiled={profiled_median * 1e3:.2f}ms "
+        f"ratio={ratio:.3f} ({profiler.sample_count} samples)"
     )
     assert ratio < MAX_PROFILER_OVERHEAD, (
         f"profiler overhead {ratio:.2f}x exceeds {MAX_PROFILER_OVERHEAD:.2f}x budget"

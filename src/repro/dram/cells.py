@@ -202,8 +202,12 @@ class PopulationSpec:
         if len(self.anchors) == 1:
             values = anchor_thresholds[0] * (counts / anchor_counts[0]) ** inv_slopes[0]
             return np.minimum(values, self.cap)
-        segment = np.clip(np.searchsorted(anchor_counts, counts), 1, len(self.anchors) - 1)
-        lo = segment - 1
+        # Segment index: how many interior anchor counts lie below each
+        # count (below the first anchor or past the last, the end segment
+        # extrapolates).
+        lo = np.zeros(counts.shape, dtype=np.intp)
+        for anchor_count in anchor_counts[1:-1]:
+            lo += counts > anchor_count
         values = anchor_thresholds[lo] * (counts / anchor_counts[lo]) ** inv_slopes[lo]
         return np.minimum(values, self.cap)
 
@@ -316,27 +320,66 @@ def _sample_columns(
         pool = np.flatnonzero(allowed)
         return np.sort(rng.choice(pool, size=count, replace=False))
     # Clustered sampling: group cells into 64-bit words so that multi-bit
-    # ECC words appear (Fig. 25/26).  Draw whole batches of clusters at a
-    # time: words, geometric sizes, and per-cluster offset subsets via a
-    # random ranking matrix.
+    # ECC words appear (Fig. 25/26).  Each batch draws a word, a geometric
+    # size and a row of 64 random keys per cluster, marks the offsets
+    # the clusters take, and keeps the lowest ``need`` marked columns
+    # that are still free.  Batches shrink with ``need``, so a row takes
+    # several: 3-7 on S0/S1/S6/S7, but 14-17 on M1/M2 and 20-29 on S3-S5,
+    # where hammer cells leave few free columns.  On H2/H3 every row
+    # reaches the 32-batch bound and silently returns about 200 fewer
+    # press cells than its Poisson draw; that truncation is part of the
+    # pinned random stream (docs/MODEL.md section 2).
     words = row_bits // 64
-    chosen = np.zeros(row_bits, dtype=bool)
+    free = allowed.copy()
     geometric_p = 1.0 / cluster_size_mean
     need = count
-    for _ in range(32):  # safety bound; converges in 1-2 batches
+    for _ in range(32):
         n_clusters = max(int(need / cluster_size_mean), 1) + 4
         sizes = np.minimum(rng.geometric(geometric_p, size=n_clusters), 32)
         cluster_words = rng.integers(0, words, size=n_clusters)
-        ranks = np.argsort(rng.random((n_clusters, 64)), axis=1)
-        take = ranks < sizes[:, None]
-        columns = (cluster_words[:, None] * 64 + np.arange(64)[None, :])[take]
-        columns = columns[allowed[columns] & ~chosen[columns]]
-        columns = np.unique(columns)[:need]
-        chosen[columns] = True
-        need = count - int(chosen.sum())
+        taken = np.zeros(row_bits, dtype=bool)
+        _mark_cluster_offsets(taken, rng.random((n_clusters, 64)), sizes, cluster_words * 64)
+        taken &= free
+        columns = np.flatnonzero(taken)[:need]
+        free[columns] = False
+        need -= columns.size
         if need <= 0:
             break
-    return np.flatnonzero(chosen).astype(np.int64)
+    return np.flatnonzero(allowed & ~free).astype(np.int64)
+
+
+def _mark_cluster_offsets(
+    taken: np.ndarray, keys: np.ndarray, sizes: np.ndarray, bases: np.ndarray
+) -> None:
+    """Set ``taken[bases[i] + offset]`` for every offset cluster ``i`` takes.
+
+    Cluster ``i`` takes the ranks, within its row of 64 ``keys``, of its
+    first ``sizes[i]`` keys: the offsets at which those keys sit once the
+    row is put in increasing order.  A rank is a count of smaller keys, so
+    key 0 is ranked for every cluster, key ``k`` only for the clusters
+    with ``sizes > k``, and no row is sorted.  Equal keys (about 2e-13
+    of rows) rank by key index, as a stable sort orders them.
+    """
+    taken[bases + _key_ranks(keys, 0)] = True
+    top = int(sizes.max())
+    if top == 1:
+        return
+    # The clusters of two or more cells, largest first, so that those
+    # with sizes > k are a prefix of one gathered block for every k.
+    by_size = np.concatenate([np.flatnonzero(sizes == size) for size in range(top, 1, -1)])
+    rows, bases = keys[by_size], bases[by_size]
+    larger = sizes.size - np.cumsum(np.bincount(sizes))  # larger[k]: clusters with sizes > k
+    for k in range(1, top):
+        rows = rows[: larger[k]]
+        taken[bases[: larger[k]] + _key_ranks(rows, k)] = True
+
+
+def _key_ranks(rows: np.ndarray, k: int) -> np.ndarray:
+    """Rank of each row's key ``k`` among its 64 keys (ties: lower index first)."""
+    key = rows[:, k : k + 1]
+    smaller = rows < key
+    np.less_equal(rows[:, :k], key, out=smaller[:, :k])
+    return smaller.sum(axis=1, dtype=np.uint8)
 
 
 def _sample_thresholds(

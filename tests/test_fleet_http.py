@@ -13,10 +13,7 @@ import asyncio
 import http.client
 import json
 import math
-import os
 import socket
-import subprocess
-import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -28,22 +25,20 @@ from repro.characterization.engine import execute_shard
 from repro.fleet.leases import outcome_to_payload, shard_from_payload
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.server import CampaignService, ServiceConfig
-from tests.test_service_http import REPO_SRC, ServerProcess, small_spec
+from tests.test_service_http import ServerProcess, small_spec, spawn_repro
 
 
 class WorkerProcess:
-    """A ``repro worker`` subprocess attached to a fleet server."""
+    """A ``repro worker`` subprocess attached to a fleet server.
 
-    def __init__(self, port, worker_id, concurrency=1, max_idle_s=None):
-        environment = dict(os.environ)
-        environment["PYTHONPATH"] = str(REPO_SRC)
+    Its output goes to files next to the server's (see ``spawn_repro``).
+    """
+
+    def __init__(self, server: ServerProcess, worker_id, concurrency=1, max_idle_s=None):
         args = [
-            sys.executable,
-            "-m",
-            "repro",
             "worker",
             "--server",
-            f"http://127.0.0.1:{port}",
+            f"http://127.0.0.1:{server.port}",
             "--worker-id",
             worker_id,
             "--concurrency",
@@ -53,11 +48,8 @@ class WorkerProcess:
         ]
         if max_idle_s is not None:
             args += ["--max-idle-s", str(max_idle_s)]
-        self.process = subprocess.Popen(
-            args,
-            env=environment,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
+        self.process, self.stderr_path = spawn_repro(
+            args, server.data_dir, f"worker-{worker_id}"
         )
 
     def wait(self, timeout_s=90.0):
@@ -92,7 +84,7 @@ def test_fleet_job_with_two_workers_matches_local_run(tmp_path):
         spec = small_spec(name="fleet-http", seed=31)
         submitted = client.submit(spec)
         workers = [
-            WorkerProcess(server.port, f"w{i}", max_idle_s=5.0)
+            WorkerProcess(server, f"w{i}", max_idle_s=5.0)
             for i in (1, 2)
         ]
         final = client.wait(submitted.job_id, timeout_s=120)
@@ -116,7 +108,7 @@ def test_worker_sigkilled_mid_job_is_replaced_without_corruption(tmp_path):
         client = server.client(client_id="fleet-crash")
         spec = small_spec(name="fleet-crash", seed=33, sites_per_module=3)
         submitted = client.submit(spec)
-        doomed = WorkerProcess(server.port, "doomed")
+        doomed = WorkerProcess(server, "doomed")
         # Wait until the worker actually holds a lease, then SIGKILL it
         # mid-shard — the worst case: no goodbye, heartbeats just stop.
         deadline = time.monotonic() + 60.0
@@ -124,7 +116,7 @@ def test_worker_sigkilled_mid_job_is_replaced_without_corruption(tmp_path):
             assert time.monotonic() < deadline, "worker never leased a shard"
             time.sleep(0.05)
         doomed.kill9()
-        survivor = WorkerProcess(server.port, "survivor", max_idle_s=8.0)
+        survivor = WorkerProcess(server, "survivor", max_idle_s=8.0)
         final = client.wait(submitted.job_id, timeout_s=180)
         assert final.state == "done"
         text = client.fetch_results_text(final.job_id)

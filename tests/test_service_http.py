@@ -1,6 +1,7 @@
 """End-to-end service tests over real HTTP against a subprocess server."""
 
 import http.client
+import itertools
 import json
 import os
 import signal
@@ -32,6 +33,37 @@ def small_spec(**kwargs):
     return CampaignSpec(**defaults)
 
 
+_log_serials = itertools.count()
+
+
+def spawn_repro(args, log_dir: Path, name: str) -> tuple[subprocess.Popen, Path]:
+    """Start ``python -m repro ARGS`` with its output in files under ``log_dir``.
+
+    Files, not pipes: nothing reads a pipe while the child runs, so a
+    child that wrote more than a pipe buffer would block, and an unread
+    pipe is a leaked handle.  The parent's file handles close as soon as
+    the child has started (it keeps its own).  Returns the process and
+    the path of its stderr file.
+    """
+    stem = f"{name}-{next(_log_serials)}"
+    environment = dict(os.environ)
+    environment["PYTHONPATH"] = str(REPO_SRC)
+    stderr_path = log_dir / f"{stem}.stderr"
+    with open(log_dir / f"{stem}.stdout", "wb") as stdout, open(stderr_path, "wb") as stderr:
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", *args],
+            env=environment,
+            stdout=stdout,
+            stderr=stderr,
+        )
+    return process, stderr_path
+
+
+def stderr_tail(path: Path, limit: int = 4000) -> str:
+    """The last ``limit`` characters a child wrote to stderr."""
+    return path.read_text(errors="replace")[-limit:]
+
+
 class ServerProcess:
     """A `repro serve` subprocess bound to an ephemeral port."""
 
@@ -39,13 +71,8 @@ class ServerProcess:
         self.data_dir = data_dir
         port_file = data_dir / "port.txt"
         port_file.unlink(missing_ok=True)
-        environment = dict(os.environ)
-        environment["PYTHONPATH"] = str(REPO_SRC)
-        self.process = subprocess.Popen(
+        self.process, self.stderr_path = spawn_repro(
             [
-                sys.executable,
-                "-m",
-                "repro",
                 "serve",
                 "--data-dir",
                 str(data_dir / "state"),
@@ -55,21 +82,23 @@ class ServerProcess:
                 str(port_file),
                 "--shard-size",
                 "1",
-            ]
-            + list(extra_args),
-            env=environment,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
+                *extra_args,
+            ],
+            data_dir,
+            "server",
         )
         deadline = time.monotonic() + 30.0
         while not port_file.exists():
             if self.process.poll() is not None:
                 raise RuntimeError(
-                    f"server died at startup: {self.process.stderr.read().decode()}"
+                    f"server died at startup: {stderr_tail(self.stderr_path)}"
                 )
             if time.monotonic() > deadline:
-                self.process.kill()
-                raise RuntimeError("server did not write its port file")
+                self.kill()
+                raise RuntimeError(
+                    "server did not write its port file: "
+                    f"{stderr_tail(self.stderr_path)}"
+                )
             time.sleep(0.02)
         self.port = int(port_file.read_text())
 

@@ -12,10 +12,7 @@ from __future__ import annotations
 
 import http.client
 import json
-import os
 import signal
-import subprocess
-import sys
 import time
 from pathlib import Path
 
@@ -24,8 +21,7 @@ import pytest
 from repro.characterization.campaign import CampaignSpec
 from repro.obs import TRACE_HEADER, TraceContext, Tracer
 from repro.service.client import ServiceClient
-
-REPO_SRC = Path(__file__).resolve().parent.parent / "src"
+from tests.test_service_http import spawn_repro, stderr_tail
 
 
 def small_spec(**kwargs):
@@ -51,14 +47,9 @@ class TracingServer:
 
     def __init__(self, data_dir: Path, trace_out: Path, extra_args=()):
         port_file = data_dir / "port.txt"
-        environment = dict(os.environ)
-        environment["PYTHONPATH"] = str(REPO_SRC)
         self.trace_out = trace_out
-        self.process = subprocess.Popen(
+        self.process, self.stderr_path = spawn_repro(
             [
-                sys.executable,
-                "-m",
-                "repro",
                 "--trace-out",
                 str(trace_out),
                 "serve",
@@ -70,21 +61,23 @@ class TracingServer:
                 str(port_file),
                 "--shard-size",
                 "1",
-            ]
-            + list(extra_args),
-            env=environment,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
+                *extra_args,
+            ],
+            data_dir,
+            "server",
         )
         deadline = time.monotonic() + 30.0
         while not port_file.exists():
             if self.process.poll() is not None:
                 raise RuntimeError(
-                    f"server died at startup: {self.process.stderr.read().decode()}"
+                    f"server died at startup: {stderr_tail(self.stderr_path)}"
                 )
             if time.monotonic() > deadline:
-                self.process.kill()
-                raise RuntimeError("server did not write its port file")
+                self.kill()
+                raise RuntimeError(
+                    "server did not write its port file: "
+                    f"{stderr_tail(self.stderr_path)}"
+                )
             time.sleep(0.02)
         self.port = int(port_file.read_text())
 
@@ -94,7 +87,7 @@ class TracingServer:
     def drain_and_read_trace(self, timeout_s: float = 60.0) -> dict:
         self.process.send_signal(signal.SIGTERM)
         code = self.process.wait(timeout=timeout_s)
-        assert code == 0, self.process.stderr.read().decode()
+        assert code == 0, stderr_tail(self.stderr_path)
         return json.loads(self.trace_out.read_text())
 
     def kill(self):
@@ -172,6 +165,7 @@ def test_server_metrics_expose_prometheus_text(tmp_path):
         connection.request("GET", "/metrics")
         response = connection.getresponse()
         body = response.read().decode("utf-8")
+        connection.close()
         assert response.status == 200
         assert response.getheader("Content-Type", "").startswith("text/plain")
         assert "# TYPE service_requests_total counter" in body

@@ -148,7 +148,7 @@ def test_http_fleet_job_serves_warehouse_analytics(tmp_path):
         spec = small_spec(name="wh-http", seed=53)
         submitted = client.submit(spec)
         workers = [
-            WorkerProcess(server.port, f"whw{i}", max_idle_s=5.0) for i in (1, 2)
+            WorkerProcess(server, f"whw{i}", max_idle_s=5.0) for i in (1, 2)
         ]
         final = client.wait(submitted.job_id, timeout_s=120)
         assert final.state == "done"
