@@ -24,7 +24,14 @@ from repro.dram.device import Bitflip, DramDevice
 from repro.dram.geometry import RowAddress
 from repro.bender.loops import LoopSummary, summarize_steady_loop
 from repro.bender.program import Act, FillRow, Instruction, Loop, Pre, Program, ReadRow, Wait
-from repro.obs import NULL_OBSERVER, Observer, monotonic_s
+from repro.obs import (
+    NULL_OBSERVER,
+    Counter,
+    Histogram,
+    MetricsRegistry,
+    Observer,
+    monotonic_s,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (isa imports us)
     from repro.bender.isa import Payload
@@ -115,6 +122,33 @@ _READ_COST = READ_COST
 _WARMUP_ITERATIONS = 2
 
 
+class _FlushInstruments:
+    """The ``executor.*`` instruments one metrics registry hands out.
+
+    A registry lookup builds a label key on every call, so the executor
+    resolves each instrument once per registry.  Each is resolved on
+    its first use, which keeps the registry's series exactly those a
+    lookup per execute would have created (no zero-valued opcode or
+    loop series for programs without them).
+    """
+
+    __slots__ = ("registry", "programs", "commands", "loop_iterations", "histograms")
+
+    def __init__(self, registry: MetricsRegistry) -> None:
+        self.registry = registry
+        self.programs = registry.counter("executor.programs")
+        self.commands: dict[str, Counter] = {}
+        self.loop_iterations: Counter | None = None
+        self.histograms: tuple[Histogram, Histogram] | None = None
+
+    def command(self, opcode: str) -> Counter:
+        counter = self.commands.get(opcode)
+        if counter is None:
+            counter = self.registry.counter("executor.commands", opcode=opcode)
+            self.commands[opcode] = counter
+        return counter
+
+
 class ProgramExecutor:
     """Executes test programs against one DRAM device."""
 
@@ -135,6 +169,7 @@ class ProgramExecutor:
         self._violation_counter = self.observer.metrics.counter(
             "executor.timing_violations"
         )
+        self._instruments: _FlushInstruments | None = None
 
     def _bank(self, rank: int, bank: int) -> _BankTiming:
         return self._banks.setdefault((rank, bank), _BankTiming())
@@ -215,18 +250,29 @@ class ProgramExecutor:
     def _flush_metrics(self, result: ExecutionResult) -> None:
         """Push one run's bookkeeping into the observer (no-op if null)."""
         metrics = self.observer.metrics
-        metrics.counter("executor.programs").inc()
+        if not metrics.enabled:
+            return
+        bound = self._instruments
+        if bound is None or bound.registry is not metrics:
+            bound = self._instruments = _FlushInstruments(metrics)
+        bound.programs.inc()
         for opcode, count in result.commands_by_opcode.items():
             if count:
-                metrics.counter("executor.commands", opcode=opcode).inc(count)
+                bound.command(opcode).inc(count)
         if result.loop_iterations:
-            metrics.counter("executor.loop_iterations").inc(result.loop_iterations)
+            if bound.loop_iterations is None:
+                bound.loop_iterations = metrics.counter("executor.loop_iterations")
+            bound.loop_iterations.inc(result.loop_iterations)
         if result.wall_seconds > 0:
+            if bound.histograms is None:
+                bound.histograms = (
+                    metrics.histogram("executor.ns_per_wall_s"),
+                    metrics.histogram("executor.wall_s"),
+                )
+            ns_per_wall_s, wall_s = bound.histograms
             # Simulated nanoseconds per wall second: the executor's speed.
-            metrics.histogram("executor.ns_per_wall_s").record(
-                result.duration / result.wall_seconds
-            )
-            metrics.histogram("executor.wall_s").record(result.wall_seconds)
+            ns_per_wall_s.record(result.duration / result.wall_seconds)
+            wall_s.record(result.wall_seconds)
 
     # ------------------------------------------------------------------
 

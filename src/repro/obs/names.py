@@ -114,6 +114,7 @@ METRIC_NAMES: frozenset[str] = frozenset(
         "warehouse.rebuilds",
         "warehouse.queries",
         "warehouse.query_seconds",
+        "warehouse.rows_fetched",
         "warehouse.sources",
         "warehouse.records",
         "warehouse.torn_detected",

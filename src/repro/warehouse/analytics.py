@@ -1,15 +1,36 @@
 """Analytics reports over warehouse rows.
 
-Every report is a *pure fold* over record mappings — plain dicts (as a
-JSONL fold produces via ``dataclasses.asdict``) or ``sqlite3.Row``
-objects (as :meth:`repro.warehouse.db.Warehouse.iter_rows` yields) —
-using the aggregation primitives from
-:mod:`repro.characterization.results` (``box_stats``, the
-``DieAggregate`` mean/min/max math).  The SQL layer only *selects and
-orders* rows; all floating-point arithmetic happens here, in record
-order, so a warehouse answer is byte-for-byte the answer a pure-Python
-fold over the same JSONL records computes.  ``tests/test_warehouse_diff.py``
-holds that equivalence under both hand-built and generated record sets.
+Every report is a fold over record mappings — plain dicts (as a JSONL
+fold produces via ``dataclasses.asdict``) or ``sqlite3.Row`` objects (as
+:meth:`repro.warehouse.db.Warehouse.iter_rows` yields) — using the
+aggregation primitives from :mod:`repro.characterization.results`
+(``box_stats``, the ``DieAggregate`` mean/min/max math).  A warehouse
+answer is byte-for-byte the answer a pure-Python fold over the same
+JSONL records computes (``tests/test_warehouse_diff.py`` holds that
+under hand-built and generated record sets), because the work is split
+by what stays exact in any order:
+
+* SQLite computes counts, integer sums, minima and maxima.  None of
+  them depends on the order rows are visited in, so
+  :meth:`~repro.warehouse.db.Warehouse.analytics` answers ``sweep`` and
+  ``temperature`` over ``acmin`` (an INTEGER column, their default
+  experiment) from one ``GROUP BY`` (:func:`grouped_report`), which
+  walks the covering ``idx_records_experiment_die`` index in group
+  order without reading a table row.
+* Python computes every float sum, in record order.  Float addition is
+  not associative and ``GROUP BY`` feeds ``SUM`` in its sorter's order
+  (SQLite 3.43+ also compensates REAL sums, as CPython 3.12's ``sum``
+  does), so the REAL observables (``taggonmin``, ``ber``) and the
+  ``acmin``, ``ber`` and ``modules`` reports fold rows ordered by
+  ``(source key, record_index)`` — the JSONL record order
+  (:func:`run_report`).
+* The grouped path falls back to the row fold when an ``acmin`` value
+  is not stored as INTEGER (an ingested non-integral ``acmin`` is
+  stored as REAL) or when ``SUM`` overflows 64 bits.
+
+Both paths reduce a group to the same five numbers — count, observed,
+sum, minimum, maximum — and :func:`_finish` turns them into the summary,
+so each report's shape is written once.
 
 Reports (also the ``GET /v1/analytics/{report}`` catalog, see
 ``docs/WAREHOUSE.md``):
@@ -37,6 +58,7 @@ __all__ = [
     "fold_module_summaries",
     "fold_sweep_summaries",
     "fold_temperature_deltas",
+    "grouped_report",
     "observable_field",
     "run_report",
 ]
@@ -57,6 +79,10 @@ _OBSERVABLES = {"acmin": "acmin", "taggonmin": "taggonmin", "ber": "ber"}
 #: sweep points; mirrors ``repro.warehouse.db.sweep_field``).
 _SWEEP_AXES = {"acmin": "t_aggon", "taggonmin": "activation_count", "ber": "t_aggon"}
 
+#: Observables stored in an INTEGER column, whose group totals SQLite
+#: computes exactly (``taggonmin`` and ``ber`` are REAL).
+_INTEGER_OBSERVABLES = frozenset({"acmin"})
+
 
 def observable_field(experiment: str) -> str | None:
     """The summarized record field for an experiment (None: unknown)."""
@@ -75,17 +101,35 @@ def _present(values: Iterable[float | None]) -> list[float]:
     ]
 
 
-def _summary(values: list[float | None]) -> dict:
-    """Count/observed/mean/min/max, the ``DieAggregate`` way."""
+def _tally(values: list[float | None]) -> tuple:
+    """A group's five totals, folded in record order.
+
+    ``(count, observed, total, minimum, maximum)``: every record, the
+    present observations, their sum and extremes (``None`` when nothing
+    is present) — the numbers a SQL ``GROUP BY`` returns per group.
+    """
     present = _present(values)
+    if not present:
+        return len(values), 0, None, None, None
+    return len(values), len(present), sum(present), min(present), max(present)
+
+
+def _finish(
+    count: int, observed: int, total: float | None, minimum, maximum
+) -> dict:
+    """Count/observed/mean/min/max, the ``DieAggregate`` way."""
     return {
-        "count": len(values),
-        "observed": len(present),
-        "hit_fraction": len(present) / len(values) if values else 0.0,
-        "mean": sum(present) / len(present) if present else None,
-        "minimum": min(present) if present else None,
-        "maximum": max(present) if present else None,
+        "count": count,
+        "observed": observed,
+        "hit_fraction": observed / count if count else 0.0,
+        "mean": total / observed if observed else None,
+        "minimum": minimum,
+        "maximum": maximum,
     }
+
+
+def _summary(values: list[float | None]) -> dict:
+    return _finish(*_tally(values))
 
 
 def _box(values: list[float | None]) -> dict | None:
@@ -128,29 +172,43 @@ def fold_temperature_deltas(
     paper's 50C-to-80C comparison generalized to any sweep.
     """
     field = observable_field(experiment)
-    groups: dict[str, dict[float, list[float | None]]] = {}
+    groups: dict[tuple[str, float], list[float | None]] = {}
     for row in rows:
-        by_temp = groups.setdefault(row["die_key"], {})
-        by_temp.setdefault(float(row["temperature_c"]), []).append(
+        key = (row["die_key"], float(row["temperature_c"]))
+        groups.setdefault(key, []).append(
             row[field] if field is not None else None
         )
+    return _temperature_payload(
+        {key: _tally(values) for key, values in groups.items()}, experiment
+    )
+
+
+def _temperature_payload(
+    tallies: Mapping[tuple[str, float], tuple], experiment: str
+) -> dict:
+    """The ``temperature`` report from ``(die, temperature)`` totals."""
+    by_die: dict[str, dict[float, dict]] = {}
+    for die_key, temp in sorted(tallies):
+        by_die.setdefault(die_key, {})[temp] = _finish(
+            *tallies[(die_key, temp)]
+        )
     dies = {}
-    for die_key in sorted(groups):
-        by_temp = groups[die_key]
-        temps = sorted(by_temp)
-        summaries = {str(temp): _summary(by_temp[temp]) for temp in temps}
-        base_mean = summaries[str(temps[0])]["mean"] if temps else None
+    for die_key, summaries in by_die.items():
+        coolest = next(iter(summaries))
+        base_mean = summaries[coolest]["mean"]
         deltas = {}
-        for temp in temps:
-            mean = summaries[str(temp)]["mean"]
+        for temp, summary in summaries.items():
+            mean = summary["mean"]
             deltas[str(temp)] = (
                 mean / base_mean
                 if mean is not None and base_mean not in (None, 0)
                 else None
             )
         dies[die_key] = {
-            "temperatures": summaries,
-            "coolest": temps[0] if temps else None,
+            "temperatures": {
+                str(temp): summary for temp, summary in summaries.items()
+            },
+            "coolest": coolest,
             "delta_vs_coolest": deltas,
         }
     return {
@@ -204,28 +262,34 @@ def fold_sweep_summaries(rows: Iterable[Mapping], experiment: str) -> dict:
     """
     axis = _SWEEP_AXES.get(experiment)
     field = observable_field(experiment)
-    groups: dict[str, dict[float, dict[float, list[float | None]]]] = {}
+    groups: dict[tuple[str, float, float], list[float | None]] = {}
     for row in rows:
-        by_temp = groups.setdefault(row["die_key"], {})
-        by_sweep = by_temp.setdefault(float(row["temperature_c"]), {})
-        sweep = float(row[axis]) if axis is not None else 0.0
-        by_sweep.setdefault(sweep, []).append(
+        key = (
+            row["die_key"],
+            float(row["temperature_c"]),
+            float(row[axis]) if axis is not None else 0.0,
+        )
+        groups.setdefault(key, []).append(
             row[field] if field is not None else None
         )
-    dies: dict[str, dict] = {}
-    for die_key in sorted(groups):
-        temps = {}
-        for temp in sorted(groups[die_key]):
-            by_sweep = groups[die_key][temp]
-            temps[str(temp)] = [
-                {"sweep": sweep, **_summary(by_sweep[sweep])}
-                for sweep in sorted(by_sweep)
-            ]
-        dies[die_key] = temps
+    return _sweep_payload(
+        {key: _tally(values) for key, values in groups.items()}, experiment
+    )
+
+
+def _sweep_payload(
+    tallies: Mapping[tuple[str, float, float], tuple], experiment: str
+) -> dict:
+    """The ``sweep`` report from ``(die, temperature, sweep)`` totals."""
+    dies: dict[str, dict[str, list[dict]]] = {}
+    for die_key, temp, sweep in sorted(tallies):
+        dies.setdefault(die_key, {}).setdefault(str(temp), []).append(
+            {"sweep": sweep, **_finish(*tallies[(die_key, temp, sweep)])}
+        )
     return {
         "report": "sweep",
         "experiment": experiment,
-        "axis": axis,
+        "axis": _SWEEP_AXES.get(experiment),
         "dies": dies,
     }
 
@@ -273,6 +337,54 @@ def _report_columns(report: str, experiment: str | None) -> tuple[str, ...]:
     return ("module_id", "experiment", "die_key", "acmin", "taggonmin", "ber")
 
 
+def _selected_experiment(report: str, experiment: str | None) -> str | None:
+    """The experiment whose records ``report`` folds."""
+    fixed = REPORTS[report]
+    selected = fixed if fixed is not None else experiment
+    if report in ("temperature", "sweep") and selected is None:
+        selected = "acmin"  # the paper's headline sweeps are ACmin
+    return selected
+
+
+def grouped_report(
+    warehouse,
+    report: str,
+    experiment: str | None = None,
+    module_id: str | None = None,
+    die_key: str | None = None,
+) -> dict | None:
+    """``report`` from SQL group totals, or ``None`` for the row fold.
+
+    Only ``sweep`` and ``temperature`` over an INTEGER observable group
+    in SQL (:meth:`~repro.warehouse.db.Warehouse.group_totals`); any
+    other report, a REAL observable, or totals the warehouse declines
+    (a value not stored as INTEGER, a 64-bit ``SUM`` overflow) return
+    ``None``, and the caller folds rows with :func:`run_report`.
+    """
+    if report not in ("temperature", "sweep"):
+        return None
+    selected = _selected_experiment(report, experiment)
+    field = observable_field(selected)
+    if field not in _INTEGER_OBSERVABLES:
+        return None
+    keys: tuple[str, ...] = ("die_key", "temperature_c")
+    if report == "sweep":
+        keys += (_SWEEP_AXES[selected],)
+    rows = warehouse.group_totals(
+        selected, keys, field, module_id=module_id, die_key=die_key
+    )
+    if rows is None:
+        return None
+    width = len(keys)
+    tallies = {
+        (row[0], *map(float, row[1:width])): tuple(row[width:])
+        for row in rows
+    }
+    if report == "sweep":
+        return _sweep_payload(tallies, selected)
+    return _temperature_payload(tallies, selected)
+
+
 def run_report(
     warehouse,
     report: str,
@@ -280,20 +392,19 @@ def run_report(
     module_id: str | None = None,
     die_key: str | None = None,
 ) -> dict:
-    """Execute one named report against a :class:`Warehouse`.
+    """Fold one named report over ``warehouse.iter_rows``.
 
-    Raises :class:`KeyError` for an unknown report name (the service
-    maps that to a 404 listing the catalog).
+    The row fold every report has; ``warehouse`` is anything with the
+    :meth:`~repro.warehouse.db.Warehouse.iter_rows` signature.  Raises
+    :class:`KeyError` for an unknown report name (the service maps that
+    to a 404 listing the catalog).
     """
     if report not in REPORTS:
         raise KeyError(
             f"unknown analytics report {report!r}; "
             f"known: {sorted(REPORTS)}"
         )
-    fixed = REPORTS[report]
-    selected = fixed if fixed is not None else experiment
-    if report in ("temperature", "sweep") and selected is None:
-        selected = "acmin"  # the paper's headline sweeps are ACmin
+    selected = _selected_experiment(report, experiment)
     rows = warehouse.iter_rows(
         experiment=selected,
         module_id=module_id,

@@ -130,7 +130,6 @@ class Warehouse:
         self,
         path: str | Path,
         metrics: MetricsRegistry | None = None,
-        exclusive: bool = True,
         batch_size: int = 2000,
     ) -> None:
         self.path = str(path)
@@ -142,7 +141,7 @@ class Warehouse:
         )
         self._connection.row_factory = sqlite3.Row
         cursor = self._connection.cursor()
-        for statement in pragma_statements(exclusive=exclusive):
+        for statement in pragma_statements():
             cursor.execute(statement)
         cursor.executescript(SCHEMA_SQL)
         row = cursor.execute(
@@ -520,31 +519,69 @@ class Warehouse:
         module_id: str | None = None,
         die_key: str | None = None,
     ) -> dict:
-        """Run one named analytics report (timed); see ``analytics.py``."""
-        from repro.warehouse.analytics import run_report
+        """Run one named analytics report (timed); see ``analytics.py``.
+
+        ``sweep`` and ``temperature`` over ``acmin`` come from SQL group
+        totals (:func:`~repro.warehouse.analytics.grouped_report`);
+        every other report, and those two when the totals would not be
+        exact, fold rows (:func:`~repro.warehouse.analytics.run_report`).
+        ``warehouse.queries`` counts each call under the ``path`` that
+        answered it.
+        """
+        from repro.warehouse.analytics import grouped_report, run_report
 
         started = monotonic_s()
-        payload = run_report(
-            self,
-            report,
-            experiment=experiment,
-            module_id=module_id,
-            die_key=die_key,
-        )
+        path = "grouped"
+        payload = grouped_report(self, report, experiment, module_id, die_key)
+        if payload is None:
+            path = "rows"
+            payload = run_report(self, report, experiment, module_id, die_key)
+        self.metrics.counter("warehouse.queries", path=path).inc()
         self.metrics.histogram("warehouse.query_seconds").record(
             monotonic_s() - started
         )
         return payload
+
+    @staticmethod
+    def _where(
+        experiment: str | None, module_id: str | None, die_key: str | None
+    ) -> tuple[str, list[object]]:
+        """The ``WHERE`` clause of a query over complete sources' records."""
+        clauses = ["s.complete = 1"]
+        params: list[object] = []
+        for column, value in (
+            ("experiment", experiment),
+            ("module_id", module_id),
+            ("die_key", die_key),
+        ):
+            if value is not None:
+                clauses.append(f"r.{column} = ?")
+                params.append(value)
+        return "WHERE " + " AND ".join(clauses), params
+
+    @staticmethod
+    def _check_columns(columns: Iterable[str]) -> None:
+        unknown = [c for c in columns if c not in _SELECTABLE_COLUMNS]
+        if unknown:
+            raise WarehouseError(
+                f"unknown record columns {unknown}; "
+                f"selectable: {sorted(_SELECTABLE_COLUMNS)}"
+            )
+
+    def _fetch(self, sql: str, params: list[object]) -> list[sqlite3.Row]:
+        with self._lock:
+            rows = self._connection.execute(sql, params).fetchall()
+        self.metrics.counter("warehouse.rows_fetched").inc(len(rows))
+        return rows
 
     def iter_rows(
         self,
         experiment: str | None = None,
         module_id: str | None = None,
         die_key: str | None = None,
-        complete_only: bool = True,
         columns: tuple[str, ...] | None = None,
     ) -> Iterator[sqlite3.Row]:
-        """Record rows in campaign sweep order (JSONL record order).
+        """Complete sources' record rows in campaign sweep order.
 
         Ordered by ``(source key, record_index)`` so a fold over the
         rows visits records exactly as a fold over the corresponding
@@ -552,50 +589,69 @@ class Warehouse:
         guarantee.  ``columns`` narrows the projection to the record
         fields a fold actually reads (the columnar win: analytics
         queries materialize two or three columns, not nineteen);
-        ``None`` selects everything.
+        ``None`` selects everything.  Sources still streaming or torn
+        (``complete=0``) are invisible.
         """
         if columns:
-            unknown = [c for c in columns if c not in _SELECTABLE_COLUMNS]
-            if unknown:
-                raise WarehouseError(
-                    f"unknown record columns {unknown}; "
-                    f"selectable: {sorted(_SELECTABLE_COLUMNS)}"
-                )
+            self._check_columns(columns)
             select = ", ".join(f"r.{column}" for column in columns)
         else:
             select = "r.*"
-        clauses = []
-        params: list[object] = []
-        if complete_only:
-            clauses.append("s.complete = 1")
-        if experiment is not None:
-            clauses.append("r.experiment = ?")
-            params.append(experiment)
-        if module_id is not None:
-            clauses.append("r.module_id = ?")
-            params.append(module_id)
-        if die_key is not None:
-            clauses.append("r.die_key = ?")
-            params.append(die_key)
-        where = f"WHERE {' AND '.join(clauses)}" if clauses else ""
-        sql = (
-            f"SELECT {select} FROM records r "
-            "JOIN sources s ON s.source_id = r.source_id "
-            f"{where} ORDER BY s.key, r.record_index"
-        )
-        with self._lock:
-            rows = self._connection.execute(sql, params).fetchall()
-        self.metrics.counter("warehouse.queries").inc()
-        return iter(rows)
-
-    def count_records(self, complete_only: bool = False) -> int:
-        """Total ingested records (including incomplete sources by default)."""
-        sql = "SELECT COUNT(*) AS n FROM records"
-        if complete_only:
-            sql = (
-                "SELECT COUNT(*) AS n FROM records r JOIN sources s "
-                "ON s.source_id = r.source_id WHERE s.complete = 1"
+        where, params = self._where(experiment, module_id, die_key)
+        return iter(
+            self._fetch(
+                f"SELECT {select} FROM records r "
+                f"JOIN sources s ON s.source_id = r.source_id {where} "
+                "ORDER BY s.key, r.record_index",
+                params,
             )
+        )
+
+    def group_totals(
+        self,
+        experiment: str,
+        keys: tuple[str, ...],
+        field: str,
+        module_id: str | None = None,
+        die_key: str | None = None,
+    ) -> list[tuple] | None:
+        """Per-group totals of an INTEGER column over complete sources.
+
+        One ``GROUP BY keys`` returning, per group, ``(*key values,
+        COUNT(*), COUNT(field), SUM(field), MIN(field), MAX(field))``
+        in no particular order.  These totals are exact and independent
+        of row order only while every ``field`` value is an INTEGER (or
+        NULL) and the sum fits 64 bits, so ``None`` is returned — fold
+        the rows instead — when a value is stored otherwise (a
+        non-integral ``acmin`` ingests as REAL) or ``SUM`` raises
+        ``integer overflow``.
+        """
+        self._check_columns(keys + (field,))
+        group = ", ".join(f"r.{key}" for key in keys)
+        value = f"r.{field}"
+        where, params = self._where(experiment, module_id, die_key)
+        sql = (
+            f"SELECT {group}, COUNT(*), COUNT({value}), SUM({value}), "
+            f"MIN({value}), MAX({value}), "
+            f"MAX(typeof({value}) NOT IN ('integer', 'null')) "
+            "FROM records r "
+            f"JOIN sources s ON s.source_id = r.source_id {where} "
+            f"GROUP BY {group}"
+        )
+        try:
+            rows = self._fetch(sql, params)
+        except sqlite3.OperationalError as error:
+            if "integer overflow" not in str(error):
+                raise
+            return None
+        if any(row[-1] for row in rows):
+            return None
+        return [tuple(row)[:-1] for row in rows]
+
+    def count_records(self) -> int:
+        """Every ingested record, torn and streaming sources included."""
         with self._lock:
-            row = self._connection.execute(sql).fetchone()
+            row = self._connection.execute(
+                "SELECT COUNT(*) AS n FROM records"
+            ).fetchone()
         return int(row["n"])

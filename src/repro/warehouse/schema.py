@@ -29,7 +29,8 @@ __all__ = [
 
 #: Bump when the table layout changes; an on-disk mismatch demands a
 #: ``repro warehouse rebuild`` (the file is derived, never the truth).
-WAREHOUSE_SCHEMA_VERSION = 1
+#: v2: the ``(experiment, die_key)`` index covers the grouped reports.
+WAREHOUSE_SCHEMA_VERSION = 2
 
 #: SQLite page size.  4 KiB matches common filesystem block sizes; the
 #: records table is wide but rows are small, so small pages keep the
@@ -46,26 +47,24 @@ def cache_size_pragma(budget_bytes: int = CACHE_SIZE_BYTES) -> int:
     return -(budget_bytes // 1024)
 
 
-def pragma_statements(exclusive: bool = True) -> tuple[str, ...]:
+def pragma_statements() -> tuple[str, ...]:
     """The connection-setup pragmas, in application order.
 
     ``page_size`` must precede the first write to an empty database;
-    ``journal_mode=WAL`` turns ingest commits into log appends;
-    ``synchronous=NORMAL`` is durable-enough for a derived index that
-    can always be rebuilt; ``locking_mode=EXCLUSIVE`` skips per-query
-    lock acquisition for the single-owner access pattern.
+    ``locking_mode=EXCLUSIVE`` skips per-query lock acquisition for the
+    single-owner access pattern; ``journal_mode=WAL`` turns ingest
+    commits into log appends; ``synchronous=NORMAL`` is durable-enough
+    for a derived index that can always be rebuilt.
     """
-    statements = [
+    return (
         f"PRAGMA page_size={PAGE_SIZE}",
         f"PRAGMA cache_size={cache_size_pragma()}",
+        "PRAGMA locking_mode=EXCLUSIVE",
         "PRAGMA journal_mode=WAL",
         "PRAGMA synchronous=NORMAL",
         "PRAGMA temp_store=MEMORY",
         "PRAGMA foreign_keys=ON",
-    ]
-    if exclusive:
-        statements.insert(2, "PRAGMA locking_mode=EXCLUSIVE")
-    return tuple(statements)
+    )
 
 
 #: The whole warehouse layout.  ``sources`` carries ingest provenance
@@ -75,7 +74,11 @@ def pragma_statements(exclusive: bool = True) -> tuple[str, ...]:
 #: ``(source_id, record_index)`` where ``record_index`` is the record's
 #: position in the campaign's sequential sweep order — the same order
 #: the JSONL results file lists them — so ordered retrieval replays the
-#: JSONL fold exactly.
+#: JSONL fold exactly.  ``idx_records_experiment_die`` covers every
+#: column the grouped ``sweep``/``temperature`` reports read (group
+#: keys, ``acmin``, the module filter and the join to ``sources``), so
+#: their ``GROUP BY`` walks the index in group order and never touches
+#: a table row.
 SCHEMA_SQL = """
 CREATE TABLE IF NOT EXISTS meta (
     key   TEXT PRIMARY KEY,
@@ -129,5 +132,6 @@ CREATE INDEX IF NOT EXISTS idx_records_module_experiment_sweep
     ON records (module_id, experiment, sweep_value);
 
 CREATE INDEX IF NOT EXISTS idx_records_experiment_die
-    ON records (experiment, die_key);
+    ON records (experiment, die_key, temperature_c, t_aggon, acmin,
+                module_id, source_id);
 """

@@ -131,3 +131,58 @@ def test_runs_are_isolated_in_time():
     runner.interpret(hammer_program(20, 36.0, 1000))
     # A second run restarting at time zero must not trip timing checks.
     runner.interpret(hammer_program(40, 36.0, 1000))
+
+
+def test_flushed_metrics_match_the_results_exactly():
+    """Cached instruments record what per-execute lookups recorded: the
+    exact sums, only the series a run touched, and a swapped registry
+    gets its own instruments."""
+    from repro.obs import MetricsRegistry, Observer
+
+    module = build_module("S3", geometry=full_width_geometry())
+    observer = Observer(metrics=MetricsRegistry())
+    runner = ProgramExecutor(module.device, observer=observer)
+    # No loop, no fill, no read: those series must not appear.
+    bare = Program([Act(RowAddress(0, 0, 5)), Wait(36.0), Pre(0, 0)])
+    results = [
+        runner.interpret(bare),
+        runner.interpret(hammer_program(20, 36.0, 500)),
+        runner.interpret(hammer_program(40, 636.0, 70)),
+    ]
+    metrics = observer.metrics
+    assert metrics.value("executor.programs") == 3
+    for opcode in ("act", "pre", "wait", "fill", "read"):
+        assert metrics.value("executor.commands", opcode=opcode) == sum(
+            result.commands_by_opcode[opcode] for result in results
+        )
+    assert metrics.value("executor.loop_iterations") == sum(
+        result.loop_iterations for result in results
+    )
+    walls = metrics.histogram("executor.wall_s")
+    assert walls.count == len(results)
+    assert walls.total == sum(result.wall_seconds for result in results)
+
+    # The first execute created exactly the series a lookup per call did.
+    fresh = MetricsRegistry()
+    runner = ProgramExecutor(module.device, observer=Observer(metrics=fresh))
+    first = runner.interpret(bare)
+    assert first.loop_iterations == first.fill_commands == 0
+    names = {
+        (counter["name"], tuple(counter["labels"].items()))
+        for counter in fresh.to_dict()["counters"]
+    }
+    assert names == {
+        ("executor.timing_violations", ()),
+        ("executor.programs", ()),
+        ("executor.commands", (("opcode", "act"),)),
+        ("executor.commands", (("opcode", "pre"),)),
+        ("executor.commands", (("opcode", "wait"),)),
+    }
+
+    # A new registry on the same observer receives the next execute.
+    swapped = MetricsRegistry()
+    runner.observer.metrics = swapped
+    runner.interpret(bare)
+    assert swapped.value("executor.programs") == 1
+    assert fresh.value("executor.programs") == 1
+    assert swapped.value("executor.commands", opcode="act") == 1

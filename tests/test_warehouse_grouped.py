@@ -1,0 +1,322 @@
+"""The grouped ``sweep``/``temperature`` path against the row fold.
+
+``Warehouse.analytics`` answers ``sweep`` and ``temperature`` over
+``acmin`` from one SQL ``GROUP BY`` (count, observed, sum, minimum,
+maximum per group) instead of folding every row.  These tests hold that
+path to the row fold (``run_report`` over the same warehouse's
+``iter_rows``) and to the independent JSONL fold of
+``tests/test_warehouse_diff.py``:
+
+* unfiltered, per module and per die, with ``None`` observations;
+* the two fallbacks — a non-integral ``acmin`` (stored as REAL) and
+  ``acmin`` values whose sum passes 2^63 — which must take the row fold
+  and still equal the JSONL fold;
+* generated multi-source warehouses whose source keys sort differently
+  from their ingest order, next to a streaming source that is never
+  finalized (so it stays invisible), under module and die filters.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import json
+import random
+import sqlite3
+
+import pytest
+
+from repro.characterization.campaign import CampaignSpec, dumps_results
+from repro.characterization.results import AcminRecord
+from repro.testkit.gen import experiment_records, lists, sampled_from, tuples
+from repro.testkit.harness import prop
+from repro.warehouse import REPORTS, Warehouse, WarehouseError, run_report
+from tests.test_warehouse_diff import (
+    EXPERIMENTS,
+    canon,
+    expected_acmin,
+    expected_ber,
+    expected_modules,
+    expected_sweep,
+    expected_temperature,
+    jsonl_records,
+)
+
+GROUPED = ("sweep", "temperature")
+MODULES = (("S3", "S-8Gb-B"), ("H4", "H-4Gb-A"), ("M1", "M-16Gb-E"))
+
+
+def _spec(name: str, experiment: str = "acmin") -> CampaignSpec:
+    return CampaignSpec(
+        name=name, module_ids=("S3",), experiment=experiment, seed=7
+    )
+
+
+def _acmin_records(seed: int, count: int) -> list[AcminRecord]:
+    """ACmin records over three modules, three temperatures, four sweep
+    points, with about one ``None`` (no bitflip) in five."""
+    rng = random.Random(seed)
+    records = []
+    for index in range(count):
+        module_id, die_key = MODULES[index % len(MODULES)]
+        records.append(
+            AcminRecord(
+                module_id=module_id,
+                die_key=die_key,
+                access="single",
+                temperature_c=(50.0, 65.0, 80.0)[rng.randrange(3)],
+                t_aggon=(36.0, 636.0, 7800.0, 70_200.0)[rng.randrange(4)],
+                site_row=rng.randrange(4096),
+                acmin=None if rng.random() < 0.2 else rng.randrange(1, 90_000),
+            )
+        )
+    return records
+
+
+def _queries(warehouse: Warehouse, path: str) -> int:
+    return warehouse.metrics.value("warehouse.queries", path=path) or 0
+
+
+@pytest.fixture(scope="module")
+def acmin_corpus():
+    """``(docs, warehouse)``: two ACmin sources, keys against ingest order."""
+    docs = {
+        "b-acmin": dumps_results(_spec("b"), _acmin_records(1, 240)),
+        "a-acmin": dumps_results(_spec("a"), _acmin_records(2, 180)),
+    }
+    with Warehouse(":memory:", batch_size=50) as warehouse:
+        for key, text in docs.items():
+            warehouse.ingest_results_text(text, key=key)
+        yield docs, warehouse
+
+
+def _filters():
+    yield {}
+    for module_id, die_key in MODULES:
+        yield {"module_id": module_id}
+        yield {"die_key": die_key}
+
+
+@pytest.mark.parametrize("report", GROUPED)
+def test_grouped_answers_equal_the_row_fold(acmin_corpus, report):
+    docs, warehouse = acmin_corpus
+    for filters in _filters():
+        grouped_before = _queries(warehouse, "grouped")
+        answer = warehouse.analytics(report, **filters)
+        assert _queries(warehouse, "grouped") == grouped_before + 1, filters
+        # Byte for byte, key order included: the service sends the
+        # payload as built.
+        assert json.dumps(answer) == json.dumps(
+            run_report(warehouse, report, **filters)
+        )
+        rows = jsonl_records(
+            docs,
+            experiment="acmin",
+            module=filters.get("module_id"),
+            die=filters.get("die_key"),
+        )
+        expected = (
+            expected_sweep(rows, "acmin")
+            if report == "sweep"
+            else expected_temperature(rows, "acmin")
+        )
+        assert canon(answer) == canon(expected), filters
+
+
+def test_corpus_holds_missing_observations(acmin_corpus):
+    _, warehouse = acmin_corpus
+    series = warehouse.analytics("sweep")["dies"]
+    points = [
+        point for temps in series.values() for s in temps.values() for point in s
+    ]
+    assert any(point["observed"] < point["count"] for point in points)
+    assert all(
+        isinstance(point["minimum"], int) for point in points if point["observed"]
+    )
+
+
+def test_grouped_rows_fetched_are_groups_not_records(acmin_corpus):
+    _, warehouse = acmin_corpus
+    before = warehouse.metrics.value("warehouse.rows_fetched")
+    answer = warehouse.analytics("sweep")
+    groups = sum(len(s) for temps in answer["dies"].values() for s in temps.values())
+    assert warehouse.metrics.value("warehouse.rows_fetched") - before == groups
+    before = warehouse.metrics.value("warehouse.rows_fetched")
+    run_report(warehouse, "sweep")
+    assert warehouse.metrics.value("warehouse.rows_fetched") - before == 420
+
+
+def _fallback_case(records: list[dict]) -> tuple[dict, Warehouse]:
+    payload = {
+        "schema_version": 2,
+        "spec": dataclasses.asdict(_spec("fallback")),
+        "records": records,
+    }
+    docs = {"fallback": json.dumps(payload)}
+    warehouse = Warehouse(":memory:")
+    warehouse.ingest_results_text(docs["fallback"], key="fallback")
+    return docs, warehouse
+
+
+def _raw(acmin, temperature_c=50.0, t_aggon=36.0, module=MODULES[0]) -> dict:
+    return {
+        "experiment": "acmin",
+        "module_id": module[0],
+        "die_key": module[1],
+        "access": "single",
+        "temperature_c": temperature_c,
+        "t_aggon": t_aggon,
+        "site_row": 1,
+        "acmin": acmin,
+    }
+
+
+@pytest.mark.parametrize(
+    "records",
+    [
+        # Non-integral acmin values are stored as REAL, so SQL SUM would
+        # add floats in index order (ascending acmin): 1.5 + 3.25 + 1e16
+        # rounds to 1e16 + 4, while record order gives 1e16 + 6.
+        [_raw(10**16), _raw(1.5), _raw(3.25), _raw(None), _raw(7, 65.0)],
+        # Values that fit 64 bits but whose sum does not: SQL SUM raises
+        # "integer overflow"; Python's int sum is exact.
+        [_raw(2**62), _raw(2**62 + 5), _raw(2**62 - 1), _raw(None), _raw(3, 80.0)],
+    ],
+    ids=["non-integral", "sum-past-2**63"],
+)
+def test_inexact_totals_fall_back_to_the_row_fold(records):
+    docs, warehouse = _fallback_case(records)
+    with warehouse:
+        assert (
+            warehouse.group_totals(
+                "acmin", ("die_key", "temperature_c", "t_aggon"), "acmin"
+            )
+            is None
+        )
+        rows = jsonl_records(docs, experiment="acmin")
+        for report, expected in (
+            ("sweep", expected_sweep(rows, "acmin")),
+            ("temperature", expected_temperature(rows, "acmin")),
+        ):
+            before = _queries(warehouse, "rows")
+            answer = warehouse.analytics(report)
+            assert _queries(warehouse, "rows") == before + 1
+            assert canon(answer) == canon(expected), report
+
+
+def test_integer_totals_take_the_grouped_path():
+    docs, warehouse = _fallback_case([_raw(2**62), _raw(2**61), _raw(None)])
+    with warehouse:
+        answer = warehouse.analytics("sweep")
+        assert _queries(warehouse, "grouped") == 1
+        rows = jsonl_records(docs, experiment="acmin")
+        assert canon(answer) == canon(expected_sweep(rows, "acmin"))
+
+
+def test_real_observables_stay_on_the_row_fold(acmin_corpus):
+    _, warehouse = acmin_corpus
+    for report, experiment in (
+        ("sweep", "taggonmin"),
+        ("temperature", "ber"),
+        ("acmin", None),
+        ("ber", None),
+        ("modules", None),
+    ):
+        before = _queries(warehouse, "rows")
+        warehouse.analytics(report, experiment=experiment)
+        assert _queries(warehouse, "rows") == before + 1, report
+
+
+def test_a_file_without_the_covering_index_asks_for_a_rebuild(tmp_path):
+    path = tmp_path / "v1.sqlite3"
+    Warehouse(path).close()
+    # Turn it into a v1 file: the narrow index and the old version.
+    connection = sqlite3.connect(path)
+    connection.executescript(
+        "DROP INDEX idx_records_experiment_die;"
+        "CREATE INDEX idx_records_experiment_die"
+        " ON records (experiment, die_key);"
+        "UPDATE meta SET value = '1' WHERE key = 'schema_version';"
+    )
+    connection.close()
+    with pytest.raises(WarehouseError, match="rebuild"):
+        Warehouse(path)
+    # Rejected before anything was built into the old file.
+    connection = sqlite3.connect(path)
+    columns = [
+        row[2]
+        for row in connection.execute(
+            "PRAGMA index_info('idx_records_experiment_die')"
+        )
+    ]
+    connection.close()
+    assert columns == ["experiment", "die_key"]
+
+
+# ----------------------------------------------------------------------
+# generated: several sources plus one that never finishes streaming
+# ----------------------------------------------------------------------
+
+_BATCH = sampled_from(EXPERIMENTS).bind(
+    lambda experiment: lists(
+        experiment_records(experiment), min_size=1, max_size=8
+    ).map(lambda records: (experiment, records))
+)
+
+
+def _expected(report, docs, experiment, filters):
+    rows = jsonl_records(
+        docs,
+        experiment=experiment,
+        module=filters.get("module_id"),
+        die=filters.get("die_key"),
+    )
+    if report == "acmin":
+        return expected_acmin(rows)
+    if report == "ber":
+        return expected_ber(rows)
+    if report == "temperature":
+        return expected_temperature(rows, experiment)
+    if report == "sweep":
+        return expected_sweep(rows, experiment)
+    return expected_modules(rows)
+
+
+@prop(max_examples=15, case=tuples(lists(_BATCH, min_size=2, max_size=4), _BATCH))
+def test_generated_sources_fold_identically(case):
+    batches, (open_experiment, open_records) = case
+    # Keys sort in the reverse of the ingest order (source ids ascend).
+    keys = [f"src-{len(batches) - index}" for index in range(len(batches))]
+    docs = {}
+    with Warehouse(":memory:", batch_size=3) as warehouse:
+        for key, (experiment, records) in zip(keys, batches):
+            docs[key] = dumps_results(_spec(key, experiment), records)
+            warehouse.ingest_results_text(docs[key], key=key)
+        warehouse.open_source(_spec("open", open_experiment), key="src-2a")
+        warehouse.ingest_shard(
+            "src-2a",
+            {
+                "shard_id": "shard-0",
+                "seed": 1,
+                "attempt": 0,
+                "units": [
+                    {"unit": index, "record": dataclasses.asdict(record)}
+                    for index, record in enumerate(open_records)
+                ],
+            },
+        )
+        first = batches[0][1][0]
+        last = batches[-1][1][0]
+        for filters in ({}, {"module_id": last.module_id}, {"die_key": first.die_key}):
+            for report in REPORTS:
+                experiments = (
+                    EXPERIMENTS if report in GROUPED else (REPORTS[report],)
+                )
+                for experiment in experiments:
+                    got = warehouse.analytics(
+                        report, experiment=experiment, **filters
+                    )
+                    expected = _expected(report, docs, experiment, filters)
+                    assert canon(got) == canon(expected), (report, experiment, filters)
+        assert warehouse.count_records() == sum(
+            len(records) for _, records in batches
+        ) + len(open_records)
