@@ -11,17 +11,16 @@ the behavioral fleet:
   from :func:`repro.rng.derive_seed`;
 * :func:`run_engine` opens the shards as one job in a private,
   in-process :class:`~repro.fleet.leases.LeaseManager` (no HTTP, no
-  lease expiry) and runs an acquire -> execute -> complete loop against
-  it, in-process with ``workers=1`` or on a ``multiprocessing`` pool.
-  The lease table is the only shard scheduler in the repo: it appends
-  each completed shard to the JSONL checkpoint, re-leases failed shards
+  lease expiry) and runs it with the shard driver
+  (:class:`~repro.fleet.driver.ShardDriver`) every caller shares: on
+  the caller's thread, or on ``workers`` slot processes.  The
+  lease table is the only shard scheduler in the repo: it appends each
+  completed shard to the JSONL checkpoint, re-leases failed shards
   within the retry budget, records shards that still fail as structured
   :class:`ShardFailure` records instead of aborting the campaign, skips
   every checkpointed shard on ``resume=True``, and merges the records
-  back into sweep order — the same rules a ``repro worker`` fleet runs
-  under;
-* :func:`execute_shard` is the one shard attempt, shared by the
-  in-process loop, pool workers, and remote fleet workers.
+  back into sweep order;
+* :func:`execute_shard` is the one shard attempt, wherever it runs.
 
 Because every experiment unit is a deterministic function of the spec's
 seed (benches rebuild identically from :mod:`repro.rng` streams and each
@@ -29,10 +28,11 @@ probe starts from ``fresh_experiment``), the merged record list is
 identical to a sequential
 :func:`~repro.characterization.campaign.run_campaign` with the same spec.
 
-Workers ship their spans and metrics back over the result queue; the
-parent folds them into its own observer, so a parallel campaign still
-produces one merged trace, one metrics snapshot, and unified progress.
-See ``docs/CAMPAIGNS.md``.
+Each shard attempt ships its spans and metric deltas back with its
+completion; when the job closes they merge into the caller's observer
+under ``campaign.run``, so a campaign produces one trace, one metrics
+snapshot, and unified progress at any worker count.  See
+``docs/CAMPAIGNS.md``.
 """
 
 from __future__ import annotations
@@ -40,10 +40,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import multiprocessing
 import threading
 import traceback
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -81,7 +79,7 @@ logger = get_logger("characterization.engine")
 #: Checkpoint-file schema (the JSONL sidecar, not the results file).
 CHECKPOINT_SCHEMA_VERSION = 1
 
-#: Worker id the engine's own loop leases its shards under.
+#: Worker id the engine's driver leases its shards under.
 _ENGINE_WORKER = "engine"
 
 
@@ -130,8 +128,9 @@ class EngineResult:
     shards_resumed: int
     retries: int
     interrupted: bool = False
-    #: ``(spans, metrics_snapshot, granted_tracer_s)`` batches from
-    #: observing fleet workers, in acceptance order, for trace merging.
+    #: ``(spans, metrics_snapshot, granted_tracer_s)`` batches of the
+    #: observed shard attempts, failed ones too, in completion order,
+    #: for trace merging.
     trace_batches: list[tuple[list, dict, float]] = field(default_factory=list)
 
     @property
@@ -174,7 +173,7 @@ def plan_shards(spec: CampaignSpec, shard_size: int = 4) -> list[ShardSpec]:
 
 
 # ----------------------------------------------------------------------
-# shard execution (shared by the in-process path and pool workers)
+# shard execution (on the driver's thread or in a slot process)
 # ----------------------------------------------------------------------
 
 
@@ -235,24 +234,6 @@ def _run_shard_units(
 
 
 @dataclass
-class _ShardTask:
-    """Pickled work order for one pool-worker shard attempt.
-
-    ``trace_header`` is the serialized :class:`TraceContext` of the
-    parent campaign span; the worker's tracer parents its shard spans
-    under it, so the merged trace is one coherent tree across processes.
-    ``profile`` turns on in-worker stack sampling.
-    """
-
-    spec_json: str
-    shard: ShardSpec
-    attempt: int
-    observe: bool
-    trace_header: str | None = None
-    profile: bool = False
-
-
-@dataclass
 class _ShardOutcome:
     """Pickled result of one shard attempt (success or failure)."""
 
@@ -293,14 +274,9 @@ class _ShardOutcome:
 #: a runner would interleave ACT/PRE commands and trip timing violations.
 _PROCESS_STATE = threading.local()
 
-#: Test-only failure injection, installed by the pool initializer.
+#: Test-only failure injection, set by :func:`run_engine` for its run
+#: (slot processes fork with it).
 _FAULT_HOOK: Callable[[ShardSpec, int], None] | None = None
-
-
-def _init_worker(fault_hook: Callable[[ShardSpec, int], None] | None) -> None:
-    """Pool initializer: installs the (test-only) fault hook."""
-    global _FAULT_HOOK
-    _FAULT_HOOK = fault_hook
 
 
 def _process_context(
@@ -330,68 +306,6 @@ def _process_context(
     return slot[1], slot[2]
 
 
-def _attempt_shard(
-    runner: CharacterizationRunner,
-    spec: CampaignSpec,
-    shard: ShardSpec,
-    observer: Observer,
-    attempt: int,
-    fault_hook: Callable[[ShardSpec, int], None] | None,
-) -> _ShardOutcome:
-    """One shard attempt; never raises.
-
-    A failure comes back as a structured outcome with the error and its
-    traceback, which the lease table keeps in the permanent
-    :class:`ShardFailure` once the retry budget is spent.
-    """
-    start = monotonic_s()
-    try:
-        units, flips = _run_shard_units(
-            runner, spec, shard, observer, fault_hook=fault_hook, attempt=attempt
-        )
-    except Exception as error:  # surfaced as a structured failure upstream
-        return _ShardOutcome(
-            shard=shard,
-            attempt=attempt,
-            ok=False,
-            units=[],
-            flips=0,
-            elapsed_s=monotonic_s() - start,
-            error=f"{type(error).__name__}: {error}",
-            traceback_text=traceback.format_exc(),
-        )
-    return _ShardOutcome(
-        shard=shard,
-        attempt=attempt,
-        ok=True,
-        units=units,
-        flips=flips,
-        elapsed_s=monotonic_s() - start,
-    )
-
-
-def _execute_shard(task: _ShardTask) -> _ShardOutcome:
-    """Pool-worker entry point: run one shard attempt, never raise."""
-    runner, observer = _process_context(
-        task.spec_json, task.observe, task.trace_header
-    )
-    profiler = SamplingProfiler() if task.profile else None
-    if profiler is not None:
-        profiler.start()
-    outcome = _attempt_shard(
-        runner,
-        CampaignSpec.from_json(task.spec_json),
-        task.shard,
-        observer,
-        task.attempt,
-        _FAULT_HOOK,
-    )
-    outcome.spans = observer.tracer.drain()
-    outcome.metrics = observer.metrics.drain() if observer.metrics.enabled else {}
-    outcome.profile_counts = profiler.stop().counts if profiler is not None else {}
-    return outcome
-
-
 def execute_shard(
     spec_json: str,
     shard: ShardSpec,
@@ -399,26 +313,40 @@ def execute_shard(
     observe: bool = False,
     trace_header: str | None = None,
 ) -> _ShardOutcome:
-    """Run one shard in this process: the wire-level shard entry point.
+    """Run one shard attempt on this thread: the one shard entry point.
 
-    This is the same code path a pool worker runs for a :class:`_ShardTask`
-    — the thread's runner for ``spec_json`` persists across calls until
-    another spec replaces it, and the outcome never raises (failures
-    come back structured).
-    ``repro.fleet`` workers call this for every leased shard, so a shard
-    executes identically whether it ran in-process, in a local pool
-    worker, or on a remote fleet worker; the deterministic per-shard
-    seed makes the records byte-identical regardless.
+    The shard driver (:mod:`repro.fleet.driver`) calls it for every
+    leased shard, wherever it runs; the per-shard seed makes the records
+    byte-identical.  The thread's runner for ``spec_json`` persists until
+    another spec replaces it.  A failure comes back structured, with its
+    traceback, never raised.  With ``observe`` the attempt's spans (timed
+    from its start) and metric deltas ride in the outcome.
     """
-    return _execute_shard(
-        _ShardTask(
-            spec_json=spec_json,
-            shard=shard,
-            attempt=attempt,
-            observe=observe,
-            trace_header=trace_header,
-        )
+    runner, observer = _process_context(spec_json, observe, trace_header)
+    started_s = observer.tracer.now_s()
+    start = monotonic_s()
+    outcome = _ShardOutcome(
+        shard=shard, attempt=attempt, ok=True, units=[], flips=0, elapsed_s=0.0
     )
+    try:
+        outcome.units, outcome.flips = _run_shard_units(
+            runner,
+            CampaignSpec.from_json(spec_json),
+            shard,
+            observer,
+            fault_hook=_FAULT_HOOK,
+            attempt=attempt,
+        )
+    except Exception as error:  # surfaced as a structured failure upstream
+        outcome.ok = False
+        outcome.error = f"{type(error).__name__}: {error}"
+        outcome.traceback_text = traceback.format_exc()
+    outcome.elapsed_s = monotonic_s() - start
+    outcome.spans = observer.tracer.drain()
+    for span in outcome.spans:
+        span["start_s"] -= started_s
+    outcome.metrics = observer.metrics.drain() if observer.metrics.enabled else {}
+    return outcome
 
 
 # ----------------------------------------------------------------------
@@ -573,11 +501,45 @@ class CampaignCheckpoint:
 # ----------------------------------------------------------------------
 
 
-def _pool_context() -> multiprocessing.context.BaseContext:
-    """Prefer fork (cheap start, inherits registrations) when available."""
-    if "fork" in multiprocessing.get_all_start_methods():
-        return multiprocessing.get_context("fork")
-    return multiprocessing.get_context()
+class _EngineLeaseClient:
+    """The shard driver's client over :func:`run_engine`'s private table.
+
+    One lock serializes the slots' calls.  A completion also appends the
+    checkpoint line, counts ``engine.*`` and advances progress; the one
+    that settles the job stops the driver.  Leases never expire here.
+    """
+
+    def __init__(self, table, job_id: str, obs: Observer) -> None:
+        self.table = table
+        self.job_id = job_id
+        self.obs = obs
+        self.on_settled: Callable[[], None] = lambda: None
+        self._lock = threading.Lock()
+
+    def lease_shards(self, worker_id, max_shards=1, wait_s=0.0) -> dict:
+        # Imported here because the lease table imports this module.
+        from repro.fleet.leases import grants_reply
+
+        with self._lock:
+            return grants_reply(self.table.acquire(worker_id, max_shards), wait_s)
+
+    def lease_complete(self, lease_id, worker_id, epoch, result) -> dict:
+        metrics = self.obs.metrics
+        with self._lock:
+            done = self.table.complete(lease_id, worker_id, epoch, result)
+            if done.checkpoint_append is not None:
+                done.checkpoint_append()
+            if done.outcome == "accepted":
+                metrics.counter("engine.shards").inc()
+                metrics.histogram("engine.shard_seconds").record(result["elapsed_s"])
+                self.obs.progress.advance(len(result["units"]), flips=result["flips"])
+            elif done.outcome == "retry":
+                metrics.counter("engine.retries").inc()
+            else:
+                metrics.counter("engine.shard_failures").inc()
+            if self.table.job_status(self.job_id).settled:
+                self.on_settled()
+        return {"outcome": done.outcome}
 
 
 def run_engine(
@@ -593,27 +555,29 @@ def run_engine(
 ) -> EngineResult:
     """Execute a campaign spec as a sharded, checkpointed campaign.
 
-    ``workers=1`` runs shards in-process (no pool, spans nest directly);
-    ``workers>1`` fans shards out over a process pool.  With
-    ``checkpoint`` set, every completed shard is persisted; with
-    ``resume=True`` and an existing checkpoint, already-completed shards
-    are skipped.  Shards that raise are retried at once, up to
-    ``max_retries`` times, then surfaced in ``failures``.  The
-    returned records are order-normalized to sequential sweep order, so
-    for a fully successful run they equal
+    ``workers=1`` runs shards on the caller's thread (no pool);
+    ``workers>1`` runs them on that many driver slots, each with a
+    process of its own, so a process that dies costs one attempt of its
+    own shard.  With ``checkpoint`` set, every completed
+    shard is persisted; with ``resume=True`` and an existing checkpoint,
+    already-completed shards are skipped.  Shards that fail are retried
+    at once, up to ``max_retries`` times, then surfaced in ``failures``.
+    The returned records are order-normalized to sequential sweep order,
+    so for a fully successful run they equal
     :func:`~repro.characterization.campaign.run_campaign` on the same
     spec.  ``fault_hook`` is a test-only failure injector called at the
     start of every shard attempt.  Those scheduling rules belong to the
     lease table the run goes through (see the module docstring).
 
     ``profiler`` (a started :class:`~repro.obs.SamplingProfiler`, usually
-    the CLI's) extends sampling into pool workers: each shard attempt is
-    sampled in-process and the collapsed counts are folded back into the
-    caller's profiler, so a parallel campaign still yields one profile.
+    the CLI's) also receives the samples slot processes take, so a
+    parallel campaign still yields one profile.
     """
-    # Imported here because the lease table imports this module.
-    from repro.fleet.leases import LeaseManager, outcome_to_payload
+    # Imported here because the lease table and the driver import this module.
+    from repro.fleet.driver import ShardDriver
+    from repro.fleet.leases import LeaseManager
 
+    global _FAULT_HOOK
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     obs = observer or NULL_OBSERVER
@@ -630,48 +594,7 @@ def run_engine(
     elif resume:
         raise ValueError("resume=True requires a checkpoint path")
 
-    spec_json = spec.to_json()
     table = LeaseManager(ttl_s=math.inf, max_retries=max_retries)
-    table.open_job(
-        spec.name,
-        spec_json,
-        shards,
-        resumed,
-        ckpt,
-        units_total=sum(len(shard.site_indices) for shard in shards),
-    )
-    status = table.job_status(spec.name)
-    obs.progress.start(total=status.units_total, label=f"campaign:{spec.name}")
-    if status.shards_completed:
-        obs.metrics.counter("engine.shards_resumed").inc(status.shards_completed)
-        obs.progress.advance(status.units_done, flips=status.flips)
-        logger.info(
-            "resumed %d/%d shards from %s",
-            status.shards_completed,
-            len(shards),
-            checkpoint,
-        )
-
-    def next_grant():
-        """The next shard attempt to start, or None once none is pending."""
-        grants = table.acquire(_ENGINE_WORKER)
-        return grants[0] if grants else None
-
-    def settle(grant, outcome: _ShardOutcome) -> None:
-        done = table.complete(
-            grant.lease_id, _ENGINE_WORKER, grant.epoch, outcome_to_payload(outcome)
-        )
-        if done.checkpoint_append is not None:
-            done.checkpoint_append()
-        if done.outcome == "accepted":
-            obs.metrics.counter("engine.shards").inc()
-            obs.metrics.histogram("engine.shard_seconds").record(outcome.elapsed_s)
-            obs.progress.advance(len(outcome.units), flips=outcome.flips)
-        elif done.outcome == "retry":
-            obs.metrics.counter("engine.retries").inc()
-        else:
-            obs.metrics.counter("engine.shard_failures").inc()
-
     with obs.span(
         "campaign.run",
         campaign=spec.name,
@@ -679,74 +602,46 @@ def run_engine(
         engine=f"workers={workers}",
         shards=len(shards),
     ) as campaign_span:
-        if workers == 1:
-            runner = CharacterizationRunner(
-                module_ids=list(spec.module_ids),
-                sites_per_module=spec.sites_per_module,
-                seed=spec.seed,
-                observer=obs,
+        context = campaign_span.context()
+        table.open_job(
+            spec.name,
+            spec.to_json(),
+            shards,
+            resumed,
+            ckpt,
+            units_total=sum(len(shard.site_indices) for shard in shards),
+            observe=obs.enabled,
+            trace_parent=context.to_header() if context is not None else None,
+            trace_now=obs.tracer.now_s,
+        )
+        status = table.job_status(spec.name)
+        obs.progress.start(total=status.units_total, label=f"campaign:{spec.name}")
+        if status.shards_completed:
+            obs.metrics.counter("engine.shards_resumed").inc(status.shards_completed)
+            obs.progress.advance(status.units_done, flips=status.flips)
+            logger.info(
+                "resumed %d/%d shards from %s",
+                status.shards_completed,
+                len(shards),
+                checkpoint,
             )
-            while (grant := next_grant()) is not None:
-                settle(
-                    grant,
-                    _attempt_shard(
-                        runner, spec, grant.shard, obs, grant.attempt, fault_hook
-                    ),
-                )
-        elif status.shards_pending:
-            observe = obs.enabled
-            campaign_context = campaign_span.context() if observe else None
-            trace_header = (
-                campaign_context.to_header() if campaign_context is not None else None
-            )
-            pool_size = min(workers, status.shards_pending)
-            with ProcessPoolExecutor(
-                max_workers=pool_size,
-                mp_context=_pool_context(),
-                initializer=_init_worker,
-                initargs=(fault_hook,),
-            ) as pool:
-                # future -> (grant, dispatch instant on the parent tracer)
-                in_flight: dict = {}
-
-                def pump() -> None:
-                    # A window of two shards per worker rather than all
-                    # upfront: each worker has its next shard queued while
-                    # the parent settles a completion, and a failed
-                    # shard's retry waits behind the window only.
-                    while len(in_flight) < 2 * pool_size and (
-                        grant := next_grant()
-                    ) is not None:
-                        task = _ShardTask(
-                            spec_json=spec_json,
-                            shard=grant.shard,
-                            attempt=grant.attempt,
-                            observe=observe,
-                            trace_header=trace_header,
-                            profile=profiler is not None,
-                        )
-                        future = pool.submit(_execute_shard, task)
-                        in_flight[future] = (grant, obs.tracer.now_s())
-
-                pump()
-                while in_flight:
-                    done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
-                    for future in done:
-                        grant, dispatched_s = in_flight.pop(future)
-                        outcome = future.result()
-                        if observe:
-                            obs.tracer.ingest(
-                                outcome.spans,
-                                parent=campaign_span,
-                                shift_s=dispatched_s,
-                            )
-                            obs.metrics.merge_snapshot(outcome.metrics)
-                        if profiler is not None and outcome.profile_counts:
-                            profiler.merge_counts(outcome.profile_counts)
-                        settle(grant, outcome)
-                    pump()
-
-        result = table.close_job(spec.name)
+        previous_hook, _FAULT_HOOK = _FAULT_HOOK, fault_hook
+        try:
+            if not status.settled:
+                client = _EngineLeaseClient(table, spec.name, obs)
+                slots = min(workers, status.shards_pending)
+                driver = ShardDriver(client, _ENGINE_WORKER, slots, profiler=profiler)
+                client.on_settled = driver.stop
+                driver.run()
+        finally:
+            _FAULT_HOOK = previous_hook
+            # The campaign's runner goes with the call, not the thread.
+            _PROCESS_STATE.slot = None
+            # Even when the run raised: completed attempts keep their spans.
+            result = table.close_job(spec.name)
+            for spans, snapshot, granted_s in result.trace_batches:
+                obs.tracer.ingest(spans, parent=campaign_span, shift_s=granted_s)
+                obs.metrics.merge_snapshot(snapshot)
         campaign_span.set(
             records=len(result.records),
             shards=result.shards_total,

@@ -780,7 +780,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--concurrency",
         type=int,
         default=1,
-        help="shards executed in parallel by this worker process",
+        help="shards executed in parallel, one process each when above 1",
     )
     worker_cmd.add_argument(
         "--worker-id",
@@ -797,13 +797,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-idle-s",
         type=float,
         default=None,
-        help="exit after this long without being granted a shard",
+        help="exit after this long without holding a shard lease",
     )
     worker_cmd.add_argument(
         "--max-shards",
         type=int,
         default=None,
-        help="exit after executing this many shards",
+        help="exit after taking this many shard leases",
     )
     worker_cmd.set_defaults(handler=_cmd_worker)
 

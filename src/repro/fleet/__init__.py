@@ -6,9 +6,9 @@ a network work unit.  The lease table (:mod:`repro.fleet.leases`)
 schedules shards for every campaign — privately in-process for
 :func:`~repro.characterization.engine.run_engine`, and in the service
 with TTLs and fencing epochs for its own local backend and for
-pull-based workers over HTTP; the worker side
-(:mod:`repro.fleet.worker`) is the ``repro worker`` process.  See
-``docs/FLEET.md`` for the protocol walkthrough and failure matrix.
+pull-based workers over HTTP.  One shard driver (:mod:`repro.fleet.driver`)
+runs the shards of them all; :mod:`repro.fleet.worker` is the ``repro
+worker`` process.  See ``docs/FLEET.md`` for the failure matrix.
 
 Importing the package loads only the lease table, not the worker: the
 worker pulls in the service client stack, which the engine must not.

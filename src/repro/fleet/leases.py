@@ -5,9 +5,9 @@ cell with a deterministic seed — is an independent, restartable unit of
 work.  A :class:`LeaseManager` owns the shard tables of open jobs and
 hands shards out as **leases**.  The service's table serves every job
 of ``repro serve``: over HTTP to pull-based ``repro worker`` processes,
-and in-process to the supervisor itself (worker id ``local``) on the
-local backend.  ``repro campaign`` runs through a private table (no
-HTTP, infinite TTL) inside
+and in-process to the supervisor's own shard driver (worker id
+``local``) on the local backend.  ``repro campaign`` runs through a
+private table (no HTTP, infinite TTL) inside
 :func:`~repro.characterization.engine.run_engine`.  Either way the table
 alone decides what runs next, when a failed shard retries (at once) or
 fails permanently, what a resumed run skips, and the sweep order the
@@ -36,8 +36,8 @@ worker ran it is irrelevant to the bytes of the merged result — the
 lease protocol only has to guarantee exactly-once accounting, not
 determinism.  All methods are synchronous and single-threaded by
 contract (the service calls them on its event loop, like
-:class:`~repro.service.jobs.JobManager`; the engine from its one
-scheduling thread); time is injected so tests drive expiry with a fake
+:class:`~repro.service.jobs.JobManager`; the engine's driver client
+under one lock); time is injected so tests drive expiry with a fake
 clock.
 """
 
@@ -68,6 +68,7 @@ __all__ = [
     "shard_to_payload",
     "shard_from_payload",
     "outcome_to_payload",
+    "grants_reply",
 ]
 
 logger = get_logger("fleet.leases")
@@ -197,6 +198,17 @@ class LeaseGrant:
         )
 
 
+def grants_reply(grants: list[LeaseGrant], wait_s: float) -> dict:
+    """An in-process client's ``lease_shards`` reply.
+
+    It answers at once, so an empty one backs the driver off for
+    ``wait_s``, its own poll window.
+    """
+    if grants:
+        return {"leases": [grant.to_payload() for grant in grants]}
+    return {"leases": [], "retry_after_s": wait_s}
+
+
 @dataclass
 class CompletionResult:
     """What :meth:`LeaseManager.complete` decided about one upload."""
@@ -303,8 +315,8 @@ class LeaseManager:
     The service builds one instance with its lease TTL and shares it
     with its :class:`~repro.service.jobs.JobSupervisor`: the HTTP
     handlers call :meth:`acquire` and :meth:`heartbeat` on the event
-    loop, the supervisor opens and closes jobs around them and leases
-    local-backend shards itself, and every completion goes through
+    loop, the supervisor opens and closes jobs around them and its
+    driver leases local-backend shards, and every completion goes through
     :meth:`JobSupervisor.complete <repro.service.jobs.JobSupervisor.complete>`.
     :func:`~repro.characterization.engine.run_engine` runs every
     ``repro campaign`` through a private instance with ``ttl_s=math.inf``.
@@ -579,12 +591,8 @@ class LeaseManager:
                 f"{payload.get('shard_id')!r}, lease covers "
                 f"{slot.shard.shard_id!r}"
             )
-        if not payload.get("ok", False):
-            return self._completion_failed(job, slot, payload)
-        job.fold(payload)
-        job.release(slot, _COMPLETED)
-        job.completed += 1
         if job.observe and (payload.get("spans") or payload.get("metrics")):
+            # Every attempt's, a failed one's too: it is part of the run.
             job.trace_batches.append(
                 (
                     payload.get("spans") or [],
@@ -592,6 +600,11 @@ class LeaseManager:
                     slot.granted_tracer_s,
                 )
             )
+        if not payload.get("ok", False):
+            return self._completion_failed(job, slot, payload)
+        job.fold(payload)
+        job.release(slot, _COMPLETED)
+        job.completed += 1
         self.metrics.counter("fleet.completions").inc()
         self.metrics.histogram("fleet.shard_seconds").record(
             float(payload.get("elapsed_s", 0.0))

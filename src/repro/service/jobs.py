@@ -15,10 +15,10 @@ per-job engine checkpoint through the service's
 :class:`~repro.fleet.leases.LeaseManager`, so a service restart (or
 SIGTERM drain) re-enqueues unfinished jobs and they resume
 shard-by-shard instead of starting over.  Both backends take that one
-path: the supervisor leases a ``local`` job's shards to itself, and
-``repro worker`` processes lease a ``fleet`` job's.  Every job settles
-the same way, which stores the results and feeds the warehouse once,
-from the job checkpoint.
+path: the supervisor's own shard driver leases a ``local`` job's
+shards, and ``repro worker`` processes lease a ``fleet`` job's.  Every
+job settles the same way, which stores the results and feeds the
+warehouse once, from the job checkpoint.
 
 Backpressure is explicit: :meth:`JobManager.submit` raises
 :class:`RateLimited` when a client exceeds its token bucket and
@@ -31,8 +31,7 @@ from __future__ import annotations
 import asyncio
 import json
 import time
-import traceback
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -41,17 +40,10 @@ from repro.characterization.campaign import CampaignSpec
 from repro.characterization.engine import (
     CampaignCheckpoint,
     EngineResult,
-    _pool_context,
-    execute_shard,
     plan_shards,
 )
-from repro.fleet.leases import (
-    CompletionResult,
-    LeaseError,
-    LeaseGrant,
-    LeaseManager,
-    outcome_to_payload,
-)
+from repro.fleet.driver import ShardDriver
+from repro.fleet.leases import CompletionResult, LeaseManager, grants_reply
 from repro.obs import (
     MetricsRegistry,
     NullTracer,
@@ -470,11 +462,10 @@ class JobSupervisor:
     only in who leases the shards, and produce byte-identical results
     (every shard's records are a pure function of its seed):
 
-    * ``backend="local"`` — the supervisor leases them to itself (worker
-      id ``local``), up to ``engine_workers`` at a time, and runs each
-      with :func:`~repro.characterization.engine.execute_shard` on a
-      dedicated thread (``engine_workers == 1``) or a process pool, so
-      the event loop keeps serving requests;
+    * ``backend="local"`` — the supervisor runs the shard driver on a
+      thread of its own, leasing them to itself (worker id ``local``)
+      on ``engine_workers`` slots, so the event loop keeps serving
+      requests;
     * ``backend="fleet"`` — ``repro worker`` processes pull them over
       HTTP; the supervisor just watches progress.
 
@@ -628,17 +619,18 @@ class JobSupervisor:
         """Open one job's shards in the lease table and wait for them.
 
         Lease activity becomes the job's progress events, and the job
-        closes when every shard is completed or permanently failed.  A
-        drain closes it early, ``interrupted``, with its checkpoint
-        intact: local shards already running finish first, outstanding
-        remote uploads are fenced off, and a restart resumes the
-        remaining shards.
+        closes when every shard is completed or permanently failed, by
+        whichever worker; an exception that ended a local job's driver
+        early is re-raised.  A drain closes it early, ``interrupted``,
+        with its checkpoint intact: local shards already running finish
+        first, outstanding remote uploads are fenced off, and a restart
+        resumes the remaining shards.
         """
         shards = plan_shards(job.spec, self.shard_size)
         job.shards_total = len(shards)
         # The job trace: one detached span on the job tracer covers the
         # whole fan-out; its context header rides in every lease so shard
-        # spans parent under it, across the wire or from a local pool.
+        # spans parent under it, across the wire or from a slot process.
         fleet_span = None
         trace_header = None
         if self.tracer.enabled:
@@ -667,47 +659,46 @@ class JobSupervisor:
             total=units_total,
             sink=lambda event: _publish_progress(job, event),
         )
-        running: set[asyncio.Task] = set()
-        executor: Executor | None = None
+        driven: asyncio.Future | None = None
         try:
             status = self.lease_manager.job_status(job.job_id)
             progress.advance(status.units_done, flips=status.flips)
             if self.backend == "local" and status.shards_pending:
-                # One dedicated thread (not the loop's shared default
-                # executor) keeps the engine's thread-local runner, and
-                # so its sampled cells, warm across the job's shards.
-                executor = (
-                    ThreadPoolExecutor(max_workers=1)
-                    if self.engine_workers == 1
-                    else ProcessPoolExecutor(
-                        max_workers=min(self.engine_workers, status.shards_pending),
-                        mp_context=_pool_context(),
-                    )
-                )
+                slots = min(self.engine_workers, status.shards_pending)
+                driver = ShardDriver(_LoopLeaseClient(self), _LOCAL_WORKER, slots)
+                # Its own thread, not the loop's shared executor: the engine's
+                # thread-local runner stays warm across the job, then goes.
+                executor = ThreadPoolExecutor(max_workers=1)
+                loop = asyncio.get_running_loop()
+                driven = loop.run_in_executor(executor, driver.run)
+                driven.add_done_callback(lambda _driven: changed.set())
             while True:
                 draining = self.draining()
-                if executor is not None and not draining:
-                    self._lease_local(executor, running, changed)
                 status = self.lease_manager.job_status(job.job_id)
                 if status.units_done != progress.done:
                     progress.advance(
                         status.units_done - progress.done,
                         flips=status.flips - progress.flips,
                     )
-                if status.settled or (draining and not running):
+                # Settled by any worker, local or remote, or fenced by a drain.
+                if status.settled or draining:
                     break
+                if driven is not None and driven.done():
+                    break  # the driver ended early: re-raised below
                 changed.clear()
                 try:
                     await asyncio.wait_for(changed.wait(), timeout=0.25)
                 except asyncio.TimeoutError:
                     pass
         finally:
-            if running:
-                await asyncio.wait(running)
-            if executor is not None:
-                await asyncio.to_thread(executor.shutdown)
+            if driven is not None:
+                driver.stop()
+                await asyncio.wait({driven})  # its held shards complete first
+                executor.shutdown(wait=False)
             async with self._checkpoint_lock:
                 result = self.lease_manager.close_job(job.job_id)
+        if driven is not None:
+            driven.result()  # re-raises what ended the driver, if anything did
         if fleet_span is not None:
             for spans, metrics_snapshot, granted_s in result.trace_batches:
                 job_tracer.ingest(spans, parent=fleet_span, shift_s=granted_s)
@@ -719,64 +710,6 @@ class JobSupervisor:
             )
             fleet_span.__exit__(None, None, None)
         return result
-
-    def _lease_local(
-        self, executor: Executor, running: set[asyncio.Task], changed: asyncio.Event
-    ) -> None:
-        """Lease pending shards to this supervisor, up to ``engine_workers``.
-
-        A finished shard wakes the wait loop at once, which refills its
-        slot without waiting for the status poll.
-        """
-        free = self.engine_workers - len(running)
-        if free < 1:
-            return
-        for grant in self.lease_manager.acquire(_LOCAL_WORKER, free):
-            task = asyncio.create_task(self._execute_local_shard(grant, executor))
-            running.add(task)
-            task.add_done_callback(running.discard)
-            task.add_done_callback(lambda _task: changed.set())
-
-    async def _execute_local_shard(self, grant: LeaseGrant, executor: Executor) -> None:
-        """Run one locally leased shard and complete it; never raises.
-
-        The lease is heartbeated every third of its TTL while the shard
-        runs.  An exception from the executor itself (a killed pool
-        process, a runner that cannot be built) becomes a failed attempt,
-        so the table's retry budget applies and the job still settles.
-        """
-        loop = asyncio.get_running_loop()
-        try:
-            future = loop.run_in_executor(
-                executor,
-                execute_shard,
-                grant.spec_json,
-                grant.shard,
-                grant.attempt,
-                grant.observe,
-                grant.trace_parent,
-            )
-            while not (await asyncio.wait({future}, timeout=grant.ttl_s / 3.0))[0]:
-                self.lease_manager.heartbeat(grant.lease_id, _LOCAL_WORKER, grant.epoch)
-            payload = outcome_to_payload(future.result())
-        except LeaseError as error:
-            logger.warning(
-                "local shard %s lost its lease: %s", grant.shard.shard_id, error
-            )
-            return
-        except Exception as error:  # surfaced as a failed attempt
-            payload = {
-                "ok": False,
-                "shard_id": grant.shard.shard_id,
-                "error": f"{type(error).__name__}: {error}",
-                "traceback": traceback.format_exc(),
-            }
-        try:
-            await self.complete(grant.lease_id, _LOCAL_WORKER, grant.epoch, payload)
-        except LeaseError as error:
-            logger.warning(
-                "local shard %s completion rejected: %s", grant.shard.shard_id, error
-            )
 
     async def _settle(
         self, job: Job, result: EngineResult, elapsed_s: float
@@ -859,6 +792,41 @@ class JobSupervisor:
         await asyncio.to_thread(self.manager.persist, job)
         self.metrics.counter("service.jobs_failed").inc()
         logger.error("job %s failed: %s", job.job_id, error)
+
+
+class _LoopLeaseClient:
+    """The shard driver's client for a local job: each call runs on the loop.
+
+    Nothing is leased once the service drains; completions go through
+    :meth:`JobSupervisor.complete`, like remote uploads.
+    """
+
+    def __init__(self, supervisor: JobSupervisor) -> None:
+        self.supervisor = supervisor
+        self.loop = asyncio.get_running_loop()
+
+    def _on_loop(self, call, *args):
+        async def on_loop():
+            return call(*args)
+
+        return asyncio.run_coroutine_threadsafe(on_loop(), self.loop).result()
+
+    def _acquire(self, worker_id: str, max_shards: int) -> list:
+        if self.supervisor.draining():
+            return []
+        return self.supervisor.lease_manager.acquire(worker_id, max_shards)
+
+    def lease_shards(self, worker_id, max_shards=1, wait_s=0.0) -> dict:
+        return grants_reply(self._on_loop(self._acquire, worker_id, max_shards), wait_s)
+
+    def lease_heartbeat(self, lease_id, worker_id, epoch) -> dict:
+        heartbeat = self.supervisor.lease_manager.heartbeat
+        return {"ttl_s": self._on_loop(heartbeat, lease_id, worker_id, epoch)}
+
+    def lease_complete(self, lease_id, worker_id, epoch, result) -> dict:
+        complete = self.supervisor.complete(lease_id, worker_id, epoch, result)
+        done = asyncio.run_coroutine_threadsafe(complete, self.loop).result()
+        return {"outcome": done.outcome}
 
 
 def _publish_progress(job: Job, event: ProgressEvent) -> None:

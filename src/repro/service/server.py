@@ -5,7 +5,7 @@ the way litex-rowhammer-tester exposes its payload executor behind a
 remote client.  Every submitted campaign opens its shards in the
 service's :mod:`repro.fleet` lease table.  ``ServiceConfig.backend``
 selects who leases them: ``local`` runs them on the server box (the
-supervisor leases them to itself), while with ``fleet`` ``repro worker``
+supervisor's shard driver leases them), while with ``fleet`` ``repro worker``
 processes pull them over the ``/v1/leases`` API — same spec,
 byte-identical results either way.  Both complete shards through one
 supervisor method and settle through one path that stores the results

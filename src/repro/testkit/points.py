@@ -36,19 +36,19 @@ SERVICE_STORE_READ = "service.store.read"
 delays on the cached-result read path."""
 
 FLEET_WORKER_EXECUTE = "fleet.worker.execute"
-"""Start of one leased shard's execution in
-:class:`repro.fleet.worker.FleetWorker` — a crash here simulates a
+"""Start of one leased shard's execution in the shard driver
+(:mod:`repro.fleet.driver`) of any caller — a crash here simulates a
 worker killed mid-shard (before any result exists), so the lease must
-expire and the shard be reassigned."""
+expire and the shard be reassigned, or the campaign resume."""
 
 FLEET_WORKER_COMPLETE = "fleet.worker.complete"
-"""Just before the worker uploads a finished shard — a crash here
-simulates a worker dying *after* the work but *before* the completion
-call, the window where reassignment must not double-count."""
+"""Just before the shard driver completes a finished shard — a crash
+here kills a worker *after* the work but *before* the completion call,
+the window where reassignment or resume must not double-count."""
 
 FLEET_WORKER_HEARTBEAT = "fleet.worker.heartbeat"
-"""The worker's lease-heartbeat send — an ``io-error`` here simulates
-dropped heartbeats, which must let the lease expire on the server."""
+"""The shard driver's lease-heartbeat send — an ``io-error`` here drops
+heartbeats, which must let the lease expire on the server."""
 
 WAREHOUSE_INGEST = "warehouse.ingest"
 """Start of one warehouse ingest step (a backfill batch, a streamed

@@ -94,6 +94,41 @@ def test_campaign_command_workers_and_resume(tmp_path, capsys):
     assert "(4 resumed" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_campaign_profile_holds_the_shard_frames(tmp_path, capsys, workers):
+    """One worker runs shards on the sampled thread; two merge pool samples."""
+    spec = {
+        "name": f"cli-profile-{workers}",
+        "module_ids": ["S3"],
+        "experiment": "acmin",
+        "t_aggon_values": [36.0, 7800.0],
+        "sites_per_module": 2,
+    }
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    profile = tmp_path / "profile.txt"
+    argv = [
+        "campaign",
+        str(spec_path),
+        "--output",
+        str(tmp_path / "out.json"),
+        "--workers",
+        workers,
+        "--shard-size",
+        "1",
+        "--profile-out",
+        str(profile),
+    ]
+    assert main(argv) == 0
+    capsys.readouterr()
+    shard_lines = [
+        line
+        for line in profile.read_text().splitlines()
+        if "repro.characterization.engine._run_shard_units" in line
+    ]
+    assert shard_lines
+
+
 def test_campaign_default_checkpoint_path(tmp_path, capsys):
     spec = {
         "name": "cli-default-ck",

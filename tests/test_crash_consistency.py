@@ -14,20 +14,22 @@ and asserts the two durability invariants:
 from __future__ import annotations
 
 import asyncio
+import json
 import tempfile
 from pathlib import Path
 
 import pytest
 
 from repro.characterization.campaign import CampaignSpec, run_campaign
-from repro.characterization.engine import CampaignCheckpoint, run_engine
-from repro.service.jobs import DONE, QUEUED, JobManager
+from repro.characterization.engine import CampaignCheckpoint, plan_shards, run_engine
+from repro.service.jobs import DONE, QUEUED, JobManager, JobSupervisor
 from repro.service.store import ResultStore, spec_key
 from repro.testkit import FaultPlan, FaultSpec, InjectedCrash, prop, service_requests
 from repro.testkit.faults import FaultError
 from repro.testkit.points import (
     ENGINE_CHECKPOINT_APPEND,
     ENGINE_SHARD_START,
+    FLEET_WORKER_COMPLETE,
     SERVICE_JOB_PERSIST,
     SERVICE_STORE_PUT,
     SERVICE_STORE_READ,
@@ -270,3 +272,78 @@ def test_service_sessions_survive_restarts(session):
                         assert manager.store.has(job_key)
 
     asyncio.run(scenario())
+
+
+# ----------------------------------------------------------------------
+# the shard driver's completion window, under each in-process caller
+# ----------------------------------------------------------------------
+
+
+def checkpoint_shard_ids(text: str) -> list[str]:
+    lines = [json.loads(line) for line in text.splitlines()]
+    return sorted(line["shard_id"] for line in lines if line["kind"] == "shard")
+
+
+def test_engine_crash_between_execute_and_complete_resumes_every_shard_once(
+    tmp_path,
+):
+    spec = small_spec()
+    path = tmp_path / "ckpt.jsonl"
+    with FaultPlan(FaultSpec(FLEET_WORKER_COMPLETE, "crash", at_hit=3)):
+        with pytest.raises(InjectedCrash):
+            run_engine(spec, workers=1, shard_size=1, checkpoint=path)
+
+    # The third shard ran but was never completed: only two are on disk.
+    assert len(CampaignCheckpoint(path, spec, shard_size=1).load()) == 2
+
+    resumed = run_engine(spec, workers=1, shard_size=1, checkpoint=path, resume=True)
+    assert resumed.ok
+    assert resumed.shards_resumed == 2
+    assert resumed.records == run_campaign(spec)
+    assert checkpoint_shard_ids(path.read_text()) == sorted(
+        shard.shard_id for shard in plan_shards(spec, 1)
+    )
+
+
+def test_local_job_crash_between_execute_and_complete_resumes_in_a_fresh_supervisor(
+    tmp_path, monkeypatch
+):
+    spec = small_spec(sites_per_module=2)
+    expected = run_campaign(spec)
+    # The settle unlinks the job checkpoint; keep its final text.
+    settled_checkpoints = []
+    finalize = JobSupervisor._warehouse_finalize
+
+    def keep_checkpoint(supervisor, job):
+        settled_checkpoints.append(supervisor.checkpoint_path(job).read_text())
+        finalize(supervisor, job)
+
+    monkeypatch.setattr(JobSupervisor, "_warehouse_finalize", keep_checkpoint)
+
+    async def first_life():
+        manager = JobManager(tmp_path, ResultStore(tmp_path / "results"))
+        supervisor = JobSupervisor(manager, tmp_path / "checkpoints", shard_size=1)
+        job, _ = await manager.submit(spec)
+        with FaultPlan(FaultSpec(FLEET_WORKER_COMPLETE, "crash", at_hit=2)):
+            with pytest.raises(InjectedCrash):
+                await supervisor.run_job(job)
+        return job.job_id
+
+    job_id = run_async(first_life())
+
+    async def second_life():
+        manager = JobManager(tmp_path, ResultStore(tmp_path / "results"))
+        assert manager.recover() == 1
+        supervisor = JobSupervisor(manager, tmp_path / "checkpoints", shard_size=1)
+        job = await asyncio.wait_for(manager.next_job(), timeout=1.0)
+        await asyncio.wait_for(supervisor.run_job(job), timeout=60.0)
+        assert job.state == DONE, job.error
+        assert job.events[-1]["shards_resumed"] == 1
+        _spec, records = manager.store.load(job_id)
+        assert records == expected
+
+    run_async(second_life())
+    (text,) = settled_checkpoints
+    assert checkpoint_shard_ids(text) == sorted(
+        shard.shard_id for shard in plan_shards(spec, 1)
+    )

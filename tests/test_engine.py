@@ -2,6 +2,7 @@
 
 import gc
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.characterization import engine, registry
 from repro.characterization.campaign import CampaignSpec, run_campaign
 from repro.characterization.engine import (
     CampaignCheckpoint,
@@ -387,6 +389,37 @@ def test_pool_engine_merges_worker_observability():
     assert counters["engine.shards"] == 4
 
 
+def test_failed_attempt_keeps_its_spans_and_metrics(monkeypatch):
+    """A retried shard's failed attempt still reaches the caller's trace."""
+    acmin = type(registry.get("acmin"))
+    run_unit = acmin.run_unit
+    calls = []
+
+    def fail_the_second_unit(self, *args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:  # shard 0's second unit, at attempt 0
+            raise RuntimeError("injected mid-shard fault")
+        return run_unit(self, *args, **kwargs)
+
+    monkeypatch.setattr(acmin, "run_unit", fail_the_second_unit)
+    observer = _active_observer()
+    result = run_engine(small_spec(), workers=1, shard_size=2, observer=observer)
+    assert result.ok and result.retries == 1
+    shard_spans = [s for s in observer.tracer.finished if s.name == "campaign.shard"]
+    first = plan_shards(small_spec(), shard_size=2)[0].shard_id
+    assert sorted(
+        s.attrs["attempt"] for s in shard_spans if s.attrs["shard"] == first
+    ) == [0, 1]
+    assert len(shard_spans) == 5  # four shards and the failed attempt
+    counters = {
+        c["name"]: c["value"]
+        for c in observer.metrics.to_dict()["counters"]
+        if not c["labels"]
+    }
+    # Six units, and the one the failed attempt finished before it failed.
+    assert counters["campaign.experiments"] == 7
+
+
 # ----------------------------------------------------------------------
 # per-thread runner
 # ----------------------------------------------------------------------
@@ -408,3 +441,33 @@ def test_thread_keeps_only_the_runner_of_its_latest_spec():
     # Shards of one spec still share its runner.
     assert execute_shard(second.to_json(), second_shard).ok
     assert _process_context(second.to_json(), False)[0] is second_runner
+
+
+# ----------------------------------------------------------------------
+# a dead pool process
+# ----------------------------------------------------------------------
+
+
+def _die_at_first_attempt_of(shard_index):
+    """``_run_shard_units`` whose process dies at one shard's attempt 0."""
+    run_units = engine._run_shard_units
+
+    def run(runner, spec, shard, observer, fault_hook=None, attempt=0):
+        if shard.index == shard_index and attempt == 0:
+            os._exit(1)
+        return run_units(
+            runner, spec, shard, observer, fault_hook=fault_hook, attempt=attempt
+        )
+
+    return run
+
+
+def test_dead_pool_process_costs_one_attempt(monkeypatch):
+    spec = small_spec(sites_per_module=4)
+    expected = run_campaign(spec)
+    monkeypatch.setattr(engine, "_run_shard_units", _die_at_first_attempt_of(3))
+    result = run_engine(spec, workers=2, shard_size=1)
+    assert result.ok and not result.failures
+    assert result.retries == 1  # no sibling shard was charged an attempt
+    assert result.records == expected
+    assert multiprocessing.active_children() == []

@@ -25,7 +25,11 @@ from repro.fleet.leases import LeaseError, LeaseManager
 from repro.fleet.worker import FleetWorker
 from repro.service.client import ServiceError
 from repro.testkit import FaultPlan, FaultSpec
-from repro.testkit.points import FLEET_WORKER_COMPLETE, FLEET_WORKER_EXECUTE
+from repro.testkit.points import (
+    ENGINE_SHARD_START,
+    FLEET_WORKER_COMPLETE,
+    FLEET_WORKER_EXECUTE,
+)
 
 TTL_S = 30.0
 
@@ -265,3 +269,43 @@ def test_worker_backs_off_by_retry_after_when_the_server_did_not_wait(tmp_path):
     assert stats.shards_executed == 1
     (first_s, _), (second_s, _) = client.calls[:2]
     assert 0.2 <= second_s - first_s < 5.0
+
+
+# ----------------------------------------------------------------------
+# stop rules: idle time and the shard cap
+# ----------------------------------------------------------------------
+
+
+def test_max_idle_counts_only_time_without_a_lease(tmp_path):
+    """Shards slower than --max-idle-s still run: executing is not idle."""
+    manager, shards, _ckpt = open_fleet_job(tmp_path, small_spec(), FakeClock())
+    assert len(shards) == 4
+    worker = FleetWorker(
+        client=InProcessLeaseClient(manager),
+        worker_id="wt-slow",
+        poll_s=0.01,
+        max_idle_s=0.3,
+    )
+    with FaultPlan(FaultSpec(ENGINE_SHARD_START, "delay", delay_s=0.5, times=10)):
+        stats = worker.run()
+    assert stats.shards_executed == len(shards)
+    status = manager.job_status("job-1")
+    assert status.settled and status.shards_completed == len(shards)
+
+
+def test_max_shards_caps_the_leases_of_every_slot(tmp_path):
+    """--max-shards 1 --concurrency 3 takes one lease, not one per slot."""
+    spec = small_spec(seed=21)
+    manager, _shards, _ckpt = open_fleet_job(tmp_path, spec, FakeClock())
+    worker = FleetWorker(
+        client=InProcessLeaseClient(manager),
+        worker_id="wt-capped",
+        concurrency=3,
+        poll_s=0.01,
+        max_shards=1,
+    )
+    stats = worker.run()
+    assert stats.shards_executed == 1
+    status = manager.job_status("job-1")
+    assert status.shards_completed == 1
+    assert status.shards_leased == 0

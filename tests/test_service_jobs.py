@@ -2,13 +2,16 @@
 
 import asyncio
 import json
+import multiprocessing
+import threading
 import time
 
 import pytest
 
+from repro.characterization import engine
 from repro.characterization.campaign import CampaignSpec, run_campaign
 from repro.characterization.engine import _ShardOutcome, plan_shards
-from repro.fleet.leases import LeaseManager
+from repro.fleet.leases import LeaseManager, outcome_to_payload
 from repro.service.jobs import (
     DONE,
     FAILED,
@@ -24,6 +27,7 @@ from repro.service.jobs import (
 from repro.service.store import ResultStore, spec_key
 from repro.testkit import FaultPlan, FaultSpec
 from repro.testkit.points import ENGINE_SHARD_START
+from tests.test_engine import _die_at_first_attempt_of
 
 
 def small_spec(**kwargs):
@@ -289,7 +293,7 @@ def test_supervisor_failure_isolates_job(tmp_path, monkeypatch):
         # retry budget runs out and the job settles failed (a lease left
         # held would instead re-lease every TTL and never settle).
         with monkeypatch.context() as patch:
-            patch.setattr("repro.service.jobs.execute_shard", explode)
+            patch.setattr("repro.fleet.driver.execute_shard", explode)
             await asyncio.wait_for(supervisor.run_job(job), timeout=60.0)
         assert job.state == FAILED
         assert "engine fell over" in job.error
@@ -438,7 +442,7 @@ def test_local_shards_do_not_wait_for_the_status_poll(tmp_path, monkeypatch):
             shard=shard, attempt=attempt, ok=True, units=[], flips=0, elapsed_s=0.0
         )
 
-    monkeypatch.setattr("repro.service.jobs.execute_shard", instant)
+    monkeypatch.setattr("repro.fleet.driver.execute_shard", instant)
 
     async def scenario():
         manager = make_manager(tmp_path)
@@ -452,3 +456,82 @@ def test_local_shards_do_not_wait_for_the_status_poll(tmp_path, monkeypatch):
         assert time.monotonic() - started < 2.0
 
     run_async(scenario())
+
+
+def test_local_job_settles_when_a_remote_worker_completes_its_last_shard(
+    tmp_path, monkeypatch
+):
+    """A ``repro worker`` may lease a local job's shards, the last one too."""
+    spec = small_spec()
+    local_started = threading.Event()
+    remote_leased = threading.Event()
+
+    def local(*args, **kwargs):
+        local_started.set()
+        remote_leased.wait(10.0)
+        return engine.execute_shard(*args, **kwargs)
+
+    monkeypatch.setattr("repro.fleet.driver.execute_shard", local)
+
+    async def until(condition):
+        deadline = time.monotonic() + 10.0
+        while not condition():
+            assert time.monotonic() < deadline
+            await asyncio.sleep(0.01)
+
+    async def scenario():
+        manager = make_manager(tmp_path)
+        supervisor = JobSupervisor(manager, tmp_path / "checkpoints", shard_size=2)
+        table = supervisor.lease_manager
+        job, _ = await manager.submit(spec, client="a")
+        assert len(plan_shards(spec, shard_size=2)) == 2
+        running = asyncio.create_task(supervisor.run_job(job))
+        await until(local_started.is_set)
+        # The remote worker leases the other shard and uploads it after
+        # the local driver completed its own, as the HTTP routes would.
+        (grant,) = table.acquire("remote", 1)
+        remote_leased.set()
+        await until(lambda: table.job_status(job.job_id).shards_completed == 1)
+        outcome = await asyncio.to_thread(
+            engine.execute_shard, grant.spec_json, grant.shard, grant.attempt
+        )
+        await supervisor.complete(
+            grant.lease_id, "remote", grant.epoch, outcome_to_payload(outcome)
+        )
+        await asyncio.wait_for(running, timeout=5.0)
+        assert job.state == DONE, job.error
+        _spec, records = manager.store.load(job.job_id)
+        assert records == run_campaign(spec)
+
+    run_async(scenario())
+
+
+def test_dead_pool_process_costs_a_local_job_one_attempt(tmp_path, monkeypatch):
+    spec = small_spec(sites_per_module=4)
+    expected = run_campaign(spec)
+    monkeypatch.setattr(engine, "_run_shard_units", _die_at_first_attempt_of(3))
+
+    async def scenario():
+        manager = make_manager(tmp_path)
+        supervisor = JobSupervisor(
+            manager, tmp_path / "checkpoints", engine_workers=2, shard_size=1
+        )
+        closed = []
+        close_job = supervisor.lease_manager.close_job
+
+        def close_and_keep(job_id):
+            closed.append(close_job(job_id))
+            return closed[-1]
+
+        monkeypatch.setattr(supervisor.lease_manager, "close_job", close_and_keep)
+        job, _ = await manager.submit(spec, client="a")
+        await asyncio.wait_for(supervisor.run_job(job), timeout=120.0)
+        assert job.state == DONE, job.error
+        (result,) = closed
+        assert not result.failures
+        assert result.retries == 1  # no sibling shard was charged an attempt
+        _spec, records = manager.store.load(job.job_id)
+        assert records == expected
+
+    run_async(scenario())
+    assert multiprocessing.active_children() == []
