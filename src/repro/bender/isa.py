@@ -29,8 +29,10 @@ statically-zero count or an empty body is elided at compile time.
 
 The packed words are the single source of truth: :func:`compile_program`
 encodes and immediately decodes them back, so every payload proves its
-own round-trip, and :meth:`Payload.with_loop_count` re-derives program,
-summaries, and duration from the patched words.
+own round-trip.  :meth:`Payload.with_loop_count` patches one SETCNT word
+and swaps the matching loop in the decoded program; the
+``isa-equivalence`` oracle holds that equal to decoding the patched
+words.
 """
 
 from __future__ import annotations
@@ -333,9 +335,10 @@ class Payload:
     """A compiled DRAM test program: packed words plus execution cache.
 
     ``words``/``constants``/``timeslice_ns`` are the binary artifact;
-    ``program``/``summaries``/``duration_ns`` are derived from the words
-    at construction (never trusted from elsewhere), so the binary stays
-    the single source of truth.
+    ``program``/``summaries``/``duration_ns`` are decoded from the words
+    by :func:`compile_program`, and patched alongside them by
+    :meth:`with_loop_count`, so the binary stays the single source of
+    truth.
     """
 
     words: tuple[int, ...]
@@ -360,9 +363,15 @@ class Payload:
     def with_loop_count(self, count: int, loop_index: int = 0) -> Payload:
         """This payload with one top-level loop's count replaced.
 
-        Patches the SETCNT word and re-decodes; sweeps that vary only
-        the iteration count (ACmin bisection, activation-count sweeps)
-        recompile nothing else.
+        Patches that loop's SETCNT word, then derives the rest from this
+        payload's decoded program instead of decoding the words again:
+        the same instruction objects with the loop replaced by
+        ``Loop(count, body)``, the loop's summary moved to the new loop
+        (a summary depends only on the body), and ``duration_ns``
+        recomputed by :meth:`Program.duration`.  The ``isa-equivalence``
+        oracle holds the result equal to decoding the patched words.
+        Sweeps that vary only the iteration count (ACmin bisection,
+        activation-count sweeps) recompile and re-decode nothing.
         """
         if not 0 <= count <= MAX_LOOP_COUNT:
             raise CompileError(
@@ -377,8 +386,26 @@ class Payload:
             ) from None
         words = list(self.words)
         words[word_index] = (words[word_index] & ~_IMM24_MASK) | count
-        return _payload_from_words(
-            words, self.constants, self.timeslice_ns, self.top_level_loops
+        instructions = list(self.program.instructions)
+        # Every top-level SETCNT decodes to one top-level Loop, in order.
+        position = [
+            index
+            for index, instruction in enumerate(instructions)
+            if isinstance(instruction, Loop)
+        ][loop_index]
+        old = instructions[position]
+        loop = instructions[position] = Loop(count, old.body)
+        summaries = dict(self.summaries)
+        summaries[id(loop)] = summaries.pop(id(old))
+        program = Program(instructions)
+        return Payload(
+            words=tuple(words),
+            constants=self.constants,
+            timeslice_ns=self.timeslice_ns,
+            duration_ns=program.duration(),
+            top_level_loops=self.top_level_loops,
+            program=program,
+            summaries=summaries,
         )
 
 

@@ -7,7 +7,10 @@ The paper repeats the search five times and keeps the minimum; the
 behavioral device is deterministic for a fixed seed, so ``repeats``
 defaults to 1 (the knob exists for noise-injection studies).
 
-Each probe is one call of
+Probes of one site and t_AggON differ only in the loop count, so each
+probe payload is compiled once and patched per probe
+(:func:`probe_payload`, one bounded cache per process).  Each probe is
+one call of
 :meth:`repro.bender.infrastructure.TestingInfrastructure.any_bitflip`:
 a dose-only replay of the probe payload decides it exactly, and the
 device executes the payload only where that replay cannot be exact
@@ -17,6 +20,7 @@ the ``acmin.device_probes`` counter count those device executes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -29,46 +33,81 @@ from repro.characterization.patterns import (
     build_disturb_program,
     max_activations,
 )
+from repro.dram.datapattern import DataPattern
+from repro.dram.timing import TimingParameters
 from repro.obs import NULL_OBSERVER, Observer
+
+#: Probe templates the cache holds, least recently used out first.  A
+#: double-sided search uses two (one per count parity), a single-sided
+#: one one; a sweep over S sites and P t_AggON points uses at most
+#: 2 x S x P per access and data pattern.  A template takes about
+#: 6.4 KB, so a full cache holds under 7 MB.
+PROBE_CACHE_SIZE = 1024
+
+
+@functools.lru_cache(maxsize=PROBE_CACHE_SIZE)
+def _probe_template(
+    site: RowSite,
+    t_aggon: float,
+    parity: int,
+    access: AccessPattern,
+    data: DataPattern,
+    timing: TimingParameters,
+) -> Payload:
+    """The probe program compiled with one disturbance iteration.
+
+    Keyed by everything a probe payload depends on except its loop
+    count.  A double-sided total of ``2 + parity`` keeps the loop (a
+    total below 2 would elide it) and the odd total's trailing
+    half-episode.
+    """
+    count = 2 + parity if access is AccessPattern.DOUBLE_SIDED else 1
+    config = ExperimentConfig(access=access, data=data, timing=timing)
+    program, _ = build_disturb_program(site, t_aggon, count, config)
+    return compile_program(program, timing)
+
+
+def probe_payload(
+    site: RowSite, t_aggon: float, count: int, config: ExperimentConfig
+) -> Payload:
+    """The payload of one ACmin probe of ``count`` total activations.
+
+    Double-sided patterns loop over aggressor *pairs* and append a
+    trailing half-episode when the total is odd, so the loop count is
+    ``count // 2`` and the parity is part of the compiled shape.  The
+    payload is the cached template with its loop count patched: it
+    issues the same commands as compiling the probe's program (for a
+    double-sided total of 1, whose zero-count loop the compiler would
+    elide, a loop that runs zero times).
+    """
+    double = config.access is AccessPattern.DOUBLE_SIDED
+    loops, parity = divmod(count, 2) if double else (count, 0)
+    template = _probe_template(
+        site, t_aggon, parity, config.access, config.data, config.timing
+    )
+    return template.with_loop_count(loops)
 
 
 @dataclass
 class AcminSearch:
-    """Bisection searcher bound to one test bench."""
+    """Bisection searcher bound to one test bench.
+
+    Its probe payloads come from :func:`probe_payload`, whose cache every
+    searcher in the process shares: a sweep that builds one searcher per
+    module or per engine unit still compiles each (site, t_AggON, count
+    parity) probe program once per access and data pattern.
+    """
 
     infra: TestingInfrastructure
     config: ExperimentConfig
     accuracy: float = 0.01  # 1 % relative accuracy (paper's setting)
     observer: Observer = field(default_factory=Observer.null)
     _probes: int = field(default=0, repr=False)
-    #: Compiled probe payloads keyed by (site, t_aggon, count parity);
-    #: bisection probes differ only in iteration count, which is a
-    #: single-word SETCNT patch on the cached payload.
-    _payloads: dict[tuple[RowSite, float, int], Payload] = field(
-        default_factory=dict, repr=False
-    )
-
-    def _payload(self, site: RowSite, t_aggon: float, count: int) -> Payload:
-        """Compiled probe program for ``count`` total activations.
-
-        Double-sided patterns loop over aggressor *pairs* and append a
-        trailing half-episode when the total is odd, so the loop count
-        is ``count // 2`` and the parity is part of the compiled shape.
-        """
-        double = self.config.access is AccessPattern.DOUBLE_SIDED
-        loops, parity = divmod(count, 2) if double else (count, 0)
-        cached = self._payloads.get((site, t_aggon, parity))
-        if cached is not None and loops > 0:
-            return cached.with_loop_count(loops)
-        program, _ = build_disturb_program(site, t_aggon, count, self.config)
-        payload = compile_program(program, self.config.timing)
-        if loops > 0 and len(payload.top_level_loops) == 1:
-            self._payloads[(site, t_aggon, parity)] = payload
-        return payload
 
     def _flips_at(self, site: RowSite, t_aggon: float, count: int) -> bool:
         """Whether ``count`` activations flip any victim bit (one probe)."""
-        flips = self.infra.any_bitflip(self._payload(site, t_aggon, count))
+        payload = probe_payload(site, t_aggon, count, self.config)
+        flips = self.infra.any_bitflip(payload)
         self._probes += 1
         return flips
 

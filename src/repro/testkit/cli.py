@@ -43,42 +43,39 @@ def _run_one(oracle, seed: int, max_examples: int, shrink_enabled: bool, corpus)
     return True
 
 
-def _self_check_one(oracle, seed: int, max_examples: int) -> bool:
-    """Clean must pass, mutated must fail; prints a verdict line."""
-    try:
-        run_property(
-            oracle.check,
-            oracle.gens,
-            name=oracle.name,
-            seed=seed,
-            max_examples=max_examples,
-            max_shrink_calls=oracle.shrink_calls,
-        )
-        clean_ok = True
-    except PropertyFailed:
-        clean_ok = False
-    caught = False
-    if clean_ok:
-        with oracle.mutate():
-            try:
-                run_property(
-                    oracle.check,
-                    oracle.gens,
-                    name=oracle.name,
-                    seed=seed,
-                    max_examples=max_examples,
-                    max_shrink_calls=oracle.shrink_calls,
-                )
-            except PropertyFailed:
-                caught = True
-    if clean_ok and caught:
-        print(f"ok   {oracle.name}: clean passes, catches `{oracle.mutation_note}`")
-        return True
-    reason = "fails on the CLEAN model" if not clean_ok else (
-        f"does NOT catch `{oracle.mutation_note}`"
-    )
-    print(f"FAIL {oracle.name}: {reason}")
-    return False
+def _self_check_one(oracle, seed: int, max_examples: int) -> int:
+    """Clean must pass, each mutation must fail; prints one line per mutation.
+
+    Returns how many of the oracle's planted mutations it caught (none
+    when it fails on the clean model).
+    """
+
+    def fails() -> bool:
+        try:
+            run_property(
+                oracle.check,
+                oracle.gens,
+                name=oracle.name,
+                seed=seed,
+                max_examples=max_examples,
+                max_shrink_calls=oracle.shrink_calls,
+            )
+        except PropertyFailed:
+            return True
+        return False
+
+    if fails():
+        print(f"FAIL {oracle.name}: fails on the CLEAN model")
+        return 0
+    caught = 0
+    for note, mutate in oracle.mutations:
+        with mutate():
+            if fails():
+                caught += 1
+                print(f"ok   {oracle.name}: clean passes, catches `{note}`")
+            else:
+                print(f"FAIL {oracle.name}: does NOT catch `{note}`")
+    return caught
 
 
 def run_fuzz(args: argparse.Namespace) -> int:
@@ -99,15 +96,20 @@ def run_fuzz(args: argparse.Namespace) -> int:
             print(f"error: {error.args[0]}")
             return 2
     ok = True
+    planted = caught = 0
     for name in targets:
         oracle = oracles.get(name)
         max_examples = args.max_examples or (
             oracle.self_check_examples if args.self_check else oracle.max_examples
         )
         if args.self_check:
-            ok = _self_check_one(oracle, args.seed, max_examples) and ok
+            planted += len(oracle.mutations)
+            caught += _self_check_one(oracle, args.seed, max_examples)
         else:
             ok = _run_one(
                 oracle, args.seed, max_examples, args.shrink, args.corpus
             ) and ok
+    if args.self_check:
+        print(f"caught {caught} of {planted} planted mutations")
+        ok = caught == planted
     return 0 if ok else 1

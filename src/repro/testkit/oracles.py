@@ -47,8 +47,9 @@ class Oracle:
     title: str
     gens: dict[str, Gen] = field(default_factory=dict)
     check: Callable = lambda: None
-    mutate: Callable = None
-    mutation_note: str = ""
+    #: Planted bugs as ``(note, mutate)`` pairs: ``mutate()`` is a
+    #: context manager that breaks the model while it is open.
+    mutations: tuple[tuple[str, Callable], ...] = ()
     max_examples: int = 25
     self_check_examples: int = 15
     shrink_calls: int = 200
@@ -317,6 +318,15 @@ def _mutate_progcheck_blind() -> Iterator[None]:
 # ----------------------------------------------------------------------
 
 
+#: Small counts patched into each top-level loop of a compiled program:
+#: none, one, and the most the executor runs literally (its two warm-up
+#: iterations plus two).
+_PATCH_COUNTS = (0, 1, 4)
+#: A large patched count for loops run literally (no summary): bigger
+#: ones would take the executor too long.
+_LARGE_LITERAL_PATCH = 1_000
+
+
 def _check_isa_equivalence(program) -> None:
     """Compiled-payload execution is byte-identical to interpretation.
 
@@ -326,13 +336,71 @@ def _check_isa_equivalence(program) -> None:
     per-opcode command counts, loop iterations, activations, and each
     row read's bytes and bitflips — or, when the program is illegal,
     both sides must fail with the very same error.
+
+    Then each steady top-level loop of the payload is patched with
+    :meth:`Payload.with_loop_count` to 0, 1, 4 and a large count (the
+    full 24-bit field where the loop is bulk-deposited).  The patched
+    payload's program, loop summaries (by value) and ``duration_ns``
+    must equal what decoding its patched words gives, and executing it
+    must equal interpreting its program.
     """
+    from repro.bender.isa import MAX_LOOP_COUNT, _payload_from_words, compile_program
+    from repro.bender.program import Loop
+
+    payload = compile_program(program)
+    _assert_runs_alike(program, payload)
+    loops = [i for i in payload.program.instructions if isinstance(i, Loop)]
+    for loop_index, loop in enumerate(loops):
+        if not loop.is_steady:
+            continue
+        summarized = payload.summaries[id(loop)] is not None
+        large = MAX_LOOP_COUNT if summarized else _LARGE_LITERAL_PATCH
+        for count in (*_PATCH_COUNTS, large):
+            patched = payload.with_loop_count(count, loop_index)
+            decoded = _payload_from_words(
+                patched.words,
+                patched.constants,
+                patched.timeslice_ns,
+                patched.top_level_loops,
+            )
+            where = f"loop {loop_index} patched to {count}"
+            assert patched.program == decoded.program, (
+                f"{where}: program differs from the decoded words"
+            )
+            assert _summaries_in_order(patched) == _summaries_in_order(decoded), (
+                f"{where}: loop summaries differ from the decoded words"
+            )
+            assert patched.duration_ns == decoded.duration_ns, (
+                f"{where}: duration {patched.duration_ns} != decoded "
+                f"{decoded.duration_ns}"
+            )
+            _assert_runs_alike(patched.program, patched)
+
+
+def _summaries_in_order(payload) -> list:
+    """A payload's loop summaries in program order, every key used once."""
+    from repro.bender.program import Loop
+
+    found: list = []
+
+    def walk(instructions) -> None:
+        for instruction in instructions:
+            if isinstance(instruction, Loop):
+                found.append(payload.summaries[id(instruction)])
+                walk(instruction.body)
+
+    walk(payload.program.instructions)
+    assert len(found) == len(payload.summaries), "stale loop summaries"
+    return found
+
+
+def _assert_runs_alike(program, payload) -> None:
+    """Executing ``payload`` and interpreting ``program`` agree bit for bit."""
     from repro.bender.executor import ProgramExecutor, TimingViolation
-    from repro.bender.isa import compile_program, execute
+    from repro.bender.isa import execute
 
     interpreted_device = _fresh_device()
     compiled_device = _fresh_device()
-    payload = compile_program(program)
     interpreted = compiled = None
     interpreted_error = compiled_error = None
     try:
@@ -398,6 +466,31 @@ def _mutate_setcnt_off_by_one() -> Iterator[None]:
         isa._pack_setcnt = original
 
 
+@contextlib.contextmanager
+def _mutate_patch_keeps_old_count() -> Iterator[None]:
+    """Bug: a loop-count patch rewrites the word, not the decoded loop."""
+    import dataclasses
+
+    from repro.bender import isa
+
+    original = isa.Payload.with_loop_count
+
+    def mutated(self, count: int, loop_index: int = 0):
+        patched = original(self, count, loop_index)
+        return dataclasses.replace(
+            patched,
+            duration_ns=self.duration_ns,
+            program=self.program,
+            summaries=self.summaries,
+        )
+
+    isa.Payload.with_loop_count = mutated
+    try:
+        yield
+    finally:
+        isa.Payload.with_loop_count = original
+
+
 # ----------------------------------------------------------------------
 # 6. replayed search probe == device walk
 # ----------------------------------------------------------------------
@@ -437,11 +530,15 @@ def _check_probe_equivalence(
 
     Checks the drawn activation count, then bisects the count to the
     flip boundary, where a wrong threshold shows first, checking every
-    probe.  The reference is the device walk (``fresh_experiment()`` +
-    ``execute()``) on a bench of its own; probes the replay hands to the
-    device are not compared.
+    probe.  The replay side runs the payload the ACmin searcher would
+    (:func:`repro.characterization.acmin.probe_payload`, a cached
+    template with its count patched); the reference is the device walk
+    (``fresh_experiment()`` + ``execute()``) of a freshly compiled
+    program on a bench of its own, so a bad patch shows as well as a
+    bad replay.  Probes the replay hands to the device are not compared.
     """
     from repro.bender.isa import compile_program
+    from repro.characterization.acmin import probe_payload
     from repro.characterization.patterns import (
         AccessPattern,
         ExperimentConfig,
@@ -456,11 +553,11 @@ def _check_probe_equivalence(
     device = _probe_bench(module_id, temperature_c)
 
     def probe(count: int) -> bool:
-        program, _ = build_disturb_program(site, t_aggon, count, config)
-        payload = compile_program(program, config.timing)
         executes = bench.log.programs_run
-        answer = bench.any_bitflip(payload)
+        answer = bench.any_bitflip(probe_payload(site, t_aggon, count, config))
         if bench.log.programs_run == executes:  # the replay answered
+            program, _ = build_disturb_program(site, t_aggon, count, config)
+            payload = compile_program(program, config.timing)
             device.fresh_experiment()
             walked = len(device.execute(payload).bitflips) > 0
             assert answer == walked, (
@@ -596,8 +693,9 @@ ORACLES: dict[str, Oracle] = {
                 "row": _ROW_GEN,
             },
             check=_check_acmin_monotone,
-            mutate=_mutate_press_saturation,
-            mutation_note="press accumulation resets past one tREFI",
+            mutations=(
+                ("press accumulation resets past one tREFI", _mutate_press_saturation),
+            ),
             max_examples=10,
             self_check_examples=8,
             shrink_calls=40,
@@ -613,8 +711,9 @@ ORACLES: dict[str, Oracle] = {
                 "row": _ROW_GEN,
             },
             check=_check_dose_superset,
-            mutate=_mutate_count_overflow,
-            mutation_note="episode counter wraps at 1024",
+            mutations=(
+                ("episode counter wraps at 1024", _mutate_count_overflow),
+            ),
             max_examples=25,
             self_check_examples=20,
             shrink_calls=150,
@@ -629,8 +728,12 @@ ORACLES: dict[str, Oracle] = {
                 "row": _ROW_GEN,
             },
             check=_check_temperature_direction,
-            mutate=_mutate_temperature_inverted,
-            mutation_note="press temperature exponent sign flipped",
+            mutations=(
+                (
+                    "press temperature exponent sign flipped",
+                    _mutate_temperature_inverted,
+                ),
+            ),
             max_examples=25,
             self_check_examples=10,
             shrink_calls=150,
@@ -640,8 +743,9 @@ ORACLES: dict[str, Oracle] = {
             title="static verifier == timing-checked executor",
             gens={"program": gen.command_programs(banks=1, rows=_SMALL_ROWS)},
             check=_check_progcheck_differential,
-            mutate=_mutate_progcheck_blind,
-            mutation_note="act-too-soon diagnostics suppressed",
+            mutations=(
+                ("act-too-soon diagnostics suppressed", _mutate_progcheck_blind),
+            ),
             max_examples=40,
             self_check_examples=60,
             shrink_calls=300,
@@ -651,8 +755,10 @@ ORACLES: dict[str, Oracle] = {
             title="compiled payload == interpreted program, bit for bit",
             gens={"program": gen.command_programs(banks=1, rows=_SMALL_ROWS)},
             check=_check_isa_equivalence,
-            mutate=_mutate_setcnt_off_by_one,
-            mutation_note="compiled loop counts off by one",
+            mutations=(
+                ("compiled loop counts off by one", _mutate_setcnt_off_by_one),
+                ("patched loop keeps its old count", _mutate_patch_keeps_old_count),
+            ),
             max_examples=40,
             self_check_examples=60,
             shrink_calls=300,
@@ -670,8 +776,12 @@ ORACLES: dict[str, Oracle] = {
                 "temperature_c": gen.floats(50.0, 90.0),
             },
             check=_check_probe_equivalence,
-            mutate=_mutate_ineligible_minima,
-            mutation_note="replay minima taken over ineligible cells too",
+            mutations=(
+                (
+                    "replay minima taken over ineligible cells too",
+                    _mutate_ineligible_minima,
+                ),
+            ),
             max_examples=25,
             self_check_examples=15,
             shrink_calls=60,
@@ -684,8 +794,9 @@ ORACLES: dict[str, Oracle] = {
                 "shard_size": gen.integers(1, 3),
             },
             check=_check_engine_equivalence,
-            mutate=_mutate_unit_order,
-            mutation_note="shard unit indices corrupted before merge",
+            mutations=(
+                ("shard unit indices corrupted before merge", _mutate_unit_order),
+            ),
             max_examples=3,
             self_check_examples=2,
             shrink_calls=25,
@@ -702,8 +813,9 @@ ORACLES: dict[str, Oracle] = {
                 ),
             },
             check=_check_results_roundtrip,
-            mutate=_mutate_drop_last_record,
-            mutation_note="serialization drops the final record",
+            mutations=(
+                ("serialization drops the final record", _mutate_drop_last_record),
+            ),
             max_examples=25,
             self_check_examples=10,
             shrink_calls=150,

@@ -30,12 +30,13 @@ import dataclasses
 import json
 import sqlite3
 import threading
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator
 
 from repro.characterization.campaign import CampaignSpec, loads_results
 from repro.characterization import registry
-from repro.obs import MetricsRegistry, monotonic_s
+from repro.obs import Counter, Histogram, MetricsRegistry, monotonic_s
 from repro.testkit.points import WAREHOUSE_COMMIT, WAREHOUSE_INGEST
 from repro.testkit.faults import fault_point
 from repro.warehouse.schema import (
@@ -162,6 +163,48 @@ class Warehouse:
             )
         self._connection.commit()
 
+    # -- instruments ---------------------------------------------------
+    # A registry lookup builds a label key on every call.  The registry
+    # is fixed at construction, so each instrument is looked up once, on
+    # its first use: looking them all up at construction would add
+    # zero-valued series to the registry.
+
+    @cached_property
+    def _ingests(self) -> Counter:
+        return self.metrics.counter("warehouse.ingests")
+
+    @cached_property
+    def _shards_ingested(self) -> Counter:
+        return self.metrics.counter("warehouse.shards_ingested")
+
+    @cached_property
+    def _shards_duplicate(self) -> Counter:
+        return self.metrics.counter("warehouse.shards_duplicate")
+
+    @cached_property
+    def _records_ingested(self) -> Counter:
+        return self.metrics.counter("warehouse.records_ingested")
+
+    @cached_property
+    def _ingest_seconds(self) -> Histogram:
+        return self.metrics.histogram("warehouse.ingest_seconds")
+
+    @cached_property
+    def _grouped_queries(self) -> Counter:
+        return self.metrics.counter("warehouse.queries", path="grouped")
+
+    @cached_property
+    def _row_queries(self) -> Counter:
+        return self.metrics.counter("warehouse.queries", path="rows")
+
+    @cached_property
+    def _query_seconds(self) -> Histogram:
+        return self.metrics.histogram("warehouse.query_seconds")
+
+    @cached_property
+    def _rows_fetched(self) -> Counter:
+        return self.metrics.counter("warehouse.rows_fetched")
+
     # -- lifecycle -----------------------------------------------------
 
     def close(self) -> None:
@@ -231,11 +274,9 @@ class Warehouse:
             except BaseException:
                 self._connection.rollback()
                 raise
-        self.metrics.counter("warehouse.ingests").inc()
-        self.metrics.counter("warehouse.records_ingested").inc(count)
-        self.metrics.histogram("warehouse.ingest_seconds").record(
-            monotonic_s() - started
-        )
+        self._ingests.inc()
+        self._records_ingested.inc(count)
+        self._ingest_seconds.record(monotonic_s() - started)
         return count
 
     def _commit_batch(self, batch: list[tuple]) -> None:
@@ -318,7 +359,7 @@ class Warehouse:
                 )
                 if cursor.rowcount == 0:
                     self._connection.rollback()
-                    self.metrics.counter("warehouse.shards_duplicate").inc()
+                    self._shards_duplicate.inc()
                     return 0
                 rows = [
                     _record_row(
@@ -337,11 +378,9 @@ class Warehouse:
             except BaseException:
                 self._connection.rollback()
                 raise
-        self.metrics.counter("warehouse.shards_ingested").inc()
-        self.metrics.counter("warehouse.records_ingested").inc(len(rows))
-        self.metrics.histogram("warehouse.ingest_seconds").record(
-            monotonic_s() - started
-        )
+        self._shards_ingested.inc()
+        self._records_ingested.inc(len(rows))
+        self._ingest_seconds.record(monotonic_s() - started)
         return len(rows)
 
     def ingest_checkpoint_file(
@@ -531,15 +570,13 @@ class Warehouse:
         from repro.warehouse.analytics import grouped_report, run_report
 
         started = monotonic_s()
-        path = "grouped"
         payload = grouped_report(self, report, experiment, module_id, die_key)
         if payload is None:
-            path = "rows"
             payload = run_report(self, report, experiment, module_id, die_key)
-        self.metrics.counter("warehouse.queries", path=path).inc()
-        self.metrics.histogram("warehouse.query_seconds").record(
-            monotonic_s() - started
-        )
+            self._row_queries.inc()
+        else:
+            self._grouped_queries.inc()
+        self._query_seconds.record(monotonic_s() - started)
         return payload
 
     @staticmethod
@@ -571,7 +608,7 @@ class Warehouse:
     def _fetch(self, sql: str, params: list[object]) -> list[sqlite3.Row]:
         with self._lock:
             rows = self._connection.execute(sql, params).fetchall()
-        self.metrics.counter("warehouse.rows_fetched").inc(len(rows))
+        self._rows_fetched.inc(len(rows))
         return rows
 
     def iter_rows(

@@ -41,23 +41,26 @@ def test_oracle_passes_on_the_clean_model(name):
 def test_oracle_catches_its_planted_mutation(name):
     """Mutation self-check: every oracle must have teeth."""
     oracle = oracles.get(name)
-    with oracle.mutate():
-        with pytest.raises(PropertyFailed):
-            run_property(
-                oracle.check,
-                oracle.gens,
-                name=oracle.name,
-                seed=2023,
-                max_examples=oracle.self_check_examples,
-                max_shrink_calls=oracle.shrink_calls,
-            )
+    assert oracle.mutations
+    for note, mutate in oracle.mutations:
+        with mutate():
+            with pytest.raises(PropertyFailed):
+                run_property(
+                    oracle.check,
+                    oracle.gens,
+                    name=oracle.name,
+                    seed=2023,
+                    max_examples=oracle.self_check_examples,
+                    max_shrink_calls=oracle.shrink_calls,
+                )
 
 
 def test_mutated_oracle_shrinks_reproducibly():
     """Acceptance: same seed => identical shrunk counterexample twice."""
     oracle = oracles.get("dose-superset")
+    ((_, mutate),) = oracle.mutations
     found = []
-    with oracle.mutate():
+    with mutate():
         for _ in range(2):
             with pytest.raises(PropertyFailed) as info:
                 run_property(

@@ -27,6 +27,7 @@ import pytest
 
 from repro.characterization.campaign import CampaignSpec, dumps_results
 from repro.characterization.results import AcminRecord
+from repro.obs import MetricsRegistry
 from repro.testkit.gen import experiment_records, lists, sampled_from, tuples
 from repro.testkit.harness import prop
 from repro.warehouse import REPORTS, Warehouse, WarehouseError, run_report
@@ -143,6 +144,31 @@ def test_grouped_rows_fetched_are_groups_not_records(acmin_corpus):
     before = warehouse.metrics.value("warehouse.rows_fetched")
     run_report(warehouse, "sweep")
     assert warehouse.metrics.value("warehouse.rows_fetched") - before == 420
+
+
+def test_instruments_are_looked_up_once_each_on_first_use(monkeypatch):
+    registry = MetricsRegistry()
+    lookups = []
+    for kind in ("counter", "histogram"):
+
+        def recording(name, _lookup=getattr(registry, kind), **labels):
+            lookups.append((name, tuple(sorted(labels.items()))))
+            return _lookup(name, **labels)
+
+        monkeypatch.setattr(registry, kind, recording)
+    with Warehouse(":memory:", metrics=registry) as warehouse:
+        # No series before the first use, as with a lookup per call.
+        assert registry.to_dict() == {"counters": [], "gauges": [], "histograms": []}
+        for index in range(3):
+            key = f"src-{index}"
+            warehouse.ingest_records(_spec(key), _acmin_records(index, 20), key=key)
+            warehouse.analytics("sweep")
+            warehouse.analytics("acmin")
+    assert len(lookups) == len(set(lookups)) == 7
+    assert _queries(warehouse, "grouped") == _queries(warehouse, "rows") == 3
+    assert registry.value("warehouse.ingests") == 3
+    assert registry.value("warehouse.records_ingested") == 60
+    assert registry.value("warehouse.rows_fetched") > 0
 
 
 def _fallback_case(records: list[dict]) -> tuple[dict, Warehouse]:
