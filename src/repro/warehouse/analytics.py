@@ -11,12 +11,14 @@ under hand-built and generated record sets), because the work is split
 by what stays exact in any order:
 
 * SQLite computes counts, integer sums, minima and maxima.  None of
-  them depends on the order rows are visited in, so
+  them depends on the order rows are visited in, so each source's
+  ``acmin`` totals per (module, die, temperature, t_AggON) are stored
+  in ``record_groups`` when the source becomes complete, and
   :meth:`~repro.warehouse.db.Warehouse.analytics` answers ``sweep`` and
   ``temperature`` over ``acmin`` (an INTEGER column, their default
-  experiment) from one ``GROUP BY`` (:func:`grouped_report`), which
-  walks the covering ``idx_records_experiment_die`` index in group
-  order without reading a table row.
+  experiment) by re-grouping those rows (:func:`grouped_report`): sums
+  of counts and sums, the minimum of minima, the maximum of maxima.  A
+  query reads one row per source and group, not one per record.
 * Python computes every float sum, in record order.  Float addition is
   not associative and ``GROUP BY`` feeds ``SUM`` in its sorter's order
   (SQLite 3.43+ also compensates REAL sums, as CPython 3.12's ``sum``
@@ -24,9 +26,10 @@ by what stays exact in any order:
   ``acmin``, ``ber`` and ``modules`` reports fold rows ordered by
   ``(source key, record_index)`` — the JSONL record order
   (:func:`run_report`).
-* The grouped path falls back to the row fold when an ``acmin`` value
-  is not stored as INTEGER (an ingested non-integral ``acmin`` is
-  stored as REAL) or when ``SUM`` overflows 64 bits.
+* The grouped path falls back to the row fold when a matching group
+  row is flagged inexact (an ``acmin`` not stored as INTEGER — an
+  ingested non-integral ``acmin`` is stored as REAL — or a source's
+  ``SUM`` past 64 bits) or when the re-grouping ``SUM`` overflows.
 
 Both paths reduce a group to the same five numbers — count, observed,
 sum, minimum, maximum — and :func:`_finish` turns them into the summary,
@@ -355,8 +358,9 @@ def grouped_report(
 ) -> dict | None:
     """``report`` from SQL group totals, or ``None`` for the row fold.
 
-    Only ``sweep`` and ``temperature`` over an INTEGER observable group
-    in SQL (:meth:`~repro.warehouse.db.Warehouse.group_totals`); any
+    Only ``sweep`` and ``temperature`` over an INTEGER observable
+    re-group stored totals
+    (:meth:`~repro.warehouse.db.Warehouse.group_totals`); any
     other report, a REAL observable, or totals the warehouse declines
     (a value not stored as INTEGER, a 64-bit ``SUM`` overflow) return
     ``None``, and the caller folds rows with :func:`run_report`.

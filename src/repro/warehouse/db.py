@@ -11,6 +11,14 @@ Crash-safety contract (exercised by ``tests/test_warehouse_crash.py``):
   only flips it to ``1`` in the final commit, so a kill mid-ingest
   leaves a *detectably torn* source (:meth:`Warehouse.torn_sources`,
   :meth:`Warehouse.verify`) rather than silently partial answers.
+* A source's ``record_groups`` rows are written in the transaction
+  that makes it visible (the final commit of
+  :meth:`Warehouse.ingest_records`, :meth:`Warehouse.finalize_source`,
+  and any :meth:`Warehouse.ingest_shard` into a complete source, which
+  rewrites them), so a crash at the commit leaves neither the complete
+  flag nor the group rows (``tests/test_warehouse_grouped.py``).  They
+  cascade with the source row, and :meth:`Warehouse.verify` recomputes
+  them from the records.
 * Streaming shard ingest writes the ``shards`` provenance row and the
   shard's records in one transaction keyed by ``(source, shard_id)``,
   so a re-delivered shard (lease reassignment, worker retry) is a
@@ -26,6 +34,7 @@ Crash-safety contract (exercised by ``tests/test_warehouse_crash.py``):
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import json
 import sqlite3
@@ -77,6 +86,30 @@ _SWEEP_FIELDS = {
 _SELECTABLE_COLUMNS = frozenset(
     _COLUMN_FIELDS + ("experiment", "record_index", "sweep_value", "value")
 )
+
+#: The ``record_groups`` columns :meth:`Warehouse.group_totals` may
+#: re-group by (every key column but ``experiment``, which it filters).
+_GROUP_KEYS = ("module_id", "die_key", "temperature_c", "t_aggon")
+
+#: One source's ``record_groups`` rows, computed from its records: per
+#: group ``COUNT(*)``, ``COUNT(acmin)``, ``{total}``, ``MIN(acmin)``,
+#: ``MAX(acmin)`` and ``{inexact}`` (see :data:`_EXACT`).
+_SOURCE_GROUPS = (
+    "SELECT source_id, experiment, module_id, die_key, temperature_c, "
+    "t_aggon, COUNT(*), COUNT(acmin), {total}, MIN(acmin), MAX(acmin), "
+    "{inexact} FROM records WHERE source_id = ? "
+    "GROUP BY experiment, module_id, die_key, temperature_c, t_aggon"
+)
+
+#: The exact totals, flagged inexact where an ``acmin`` is not stored as
+#: INTEGER (a non-integral ``acmin`` ingests as REAL) ...
+_EXACT = {
+    "total": "SUM(acmin)",
+    "inexact": "MAX(typeof(acmin) NOT IN ('integer', 'null'))",
+}
+#: ... and, when some group's ``SUM`` raises ``integer overflow``, no
+#: sums at all: every group of the source is flagged.
+_OVERFLOWED = {"total": "NULL", "inexact": "1"}
 
 _INSERT_RECORD = (
     "INSERT INTO records (source_id, record_index, experiment, module_id, "
@@ -144,22 +177,31 @@ class Warehouse:
         cursor = self._connection.cursor()
         for statement in pragma_statements():
             cursor.execute(statement)
-        cursor.executescript(SCHEMA_SQL)
-        row = cursor.execute(
-            "SELECT value FROM meta WHERE key = 'schema_version'"
+        # Read the version before creating anything, so an old file is
+        # refused as it was found.
+        has_meta = cursor.execute(
+            "SELECT 1 FROM sqlite_master WHERE type = 'table' AND name = 'meta'"
         ).fetchone()
-        if row is None:
+        row = (
             cursor.execute(
-                "INSERT INTO meta (key, value) VALUES ('schema_version', ?)",
-                (str(WAREHOUSE_SCHEMA_VERSION),),
-            )
-        elif row["value"] != str(WAREHOUSE_SCHEMA_VERSION):
+                "SELECT value FROM meta WHERE key = 'schema_version'"
+            ).fetchone()
+            if has_meta
+            else None
+        )
+        if row is not None and row["value"] != str(WAREHOUSE_SCHEMA_VERSION):
             self._connection.close()
             raise WarehouseError(
                 f"warehouse {self.path} has schema version {row['value']}, "
                 f"this build writes v{WAREHOUSE_SCHEMA_VERSION}; run "
                 "'repro warehouse rebuild' (the warehouse is a derived "
                 "index, no data is lost)"
+            )
+        cursor.executescript(SCHEMA_SQL)
+        if row is None:
+            cursor.execute(
+                "INSERT INTO meta (key, value) VALUES ('schema_version', ?)",
+                (str(WAREHOUSE_SCHEMA_VERSION),),
             )
         self._connection.commit()
 
@@ -269,6 +311,7 @@ class Warehouse:
                     "WHERE source_id = ?",
                     (count, source_id),
                 )
+                self._write_groups(source_id)
                 fault_point(WAREHOUSE_COMMIT)
                 self._connection.commit()
             except BaseException:
@@ -285,6 +328,28 @@ class Warehouse:
         cursor.executemany(_INSERT_RECORD, batch)
         fault_point(WAREHOUSE_COMMIT)
         self._connection.commit()
+
+    def _source_groups(self, source_id: int, insert: bool = False) -> list:
+        """One source's group rows from its records (stored: ``insert``)."""
+        sql = ("INSERT INTO record_groups " if insert else "") + _SOURCE_GROUPS
+        try:
+            rows = self._connection.execute(
+                sql.format(**_EXACT), (source_id,)
+            ).fetchall()
+        except sqlite3.OperationalError as error:
+            if "integer overflow" not in str(error):
+                raise
+            rows = self._connection.execute(
+                sql.format(**_OVERFLOWED), (source_id,)
+            ).fetchall()
+        return [tuple(row) for row in rows]
+
+    def _write_groups(self, source_id: int) -> None:
+        """Replace one source's ``record_groups`` rows (the caller commits)."""
+        self._connection.execute(
+            "DELETE FROM record_groups WHERE source_id = ?", (source_id,)
+        )
+        self._source_groups(source_id, insert=True)
 
     def _begin_source(self, key: str, kind: str, spec: CampaignSpec) -> int:
         """Register (or reset) a source row; commits ``complete=0``."""
@@ -327,13 +392,16 @@ class Warehouse:
         the records commit atomically, so a duplicate delivery — the
         same shard re-uploaded after a lease reassignment — is detected
         by the ``(source, shard_id)`` primary key and ingests nothing.
-        Returns the number of records ingested (0 for duplicates).
+        A new shard of a source that is already complete rewrites the
+        source's group rows in the same commit.  Returns the number of
+        records ingested (0 for duplicates).
         """
         started = monotonic_s()
         with self._lock:
             try:
                 row = self._connection.execute(
-                    "SELECT source_id, experiment FROM sources WHERE key = ?",
+                    "SELECT source_id, experiment, complete FROM sources "
+                    "WHERE key = ?",
                     (key,),
                 ).fetchone()
                 if row is None:
@@ -373,6 +441,8 @@ class Warehouse:
                     "ingested_records + ? WHERE source_id = ?",
                     (len(rows), source_id),
                 )
+                if row["complete"]:
+                    self._write_groups(source_id)
                 fault_point(WAREHOUSE_COMMIT)
                 self._connection.commit()
             except BaseException:
@@ -426,15 +496,23 @@ class Warehouse:
         return ingested
 
     def finalize_source(self, key: str) -> None:
-        """Mark a streaming source complete (its job finished cleanly)."""
+        """Mark a streaming source complete (its job finished cleanly).
+
+        Its group rows are (re)written in the same commit.
+        """
         with self._lock:
             try:
-                cursor = self._connection.cursor()
-                cursor.execute(
-                    "UPDATE sources SET complete = 1 WHERE key = ?", (key,)
-                )
-                if cursor.rowcount == 0:
+                row = self._connection.execute(
+                    "SELECT source_id FROM sources WHERE key = ?", (key,)
+                ).fetchone()
+                if row is None:
                     raise WarehouseError(f"no warehouse source {key!r}")
+                source_id = int(row["source_id"])
+                self._connection.execute(
+                    "UPDATE sources SET complete = 1 WHERE source_id = ?",
+                    (source_id,),
+                )
+                self._write_groups(source_id)
                 fault_point(WAREHOUSE_COMMIT)
                 self._connection.commit()
             except BaseException:
@@ -458,25 +536,50 @@ class Warehouse:
         return torn
 
     def verify(self) -> dict:
-        """Integrity report: torn sources and count mismatches."""
+        """Integrity report: torn sources, count and group-row mismatches.
+
+        ``mismatched_groups`` lists the complete sources whose stored
+        group rows differ from the ones their records give; ``repro
+        warehouse rebuild`` rewrites them.
+        """
+        report: dict = {
+            "sources": [],
+            "torn": [],
+            "mismatched": [],
+            "mismatched_groups": [],
+        }
         with self._lock:
             sources = self._connection.execute(
-                "SELECT s.key, s.kind, s.experiment, s.complete, "
+                "SELECT s.source_id, s.key, s.kind, s.experiment, s.complete, "
                 "s.ingested_records, "
                 "(SELECT COUNT(*) FROM records r "
                 " WHERE r.source_id = s.source_id) AS actual "
                 "FROM sources s ORDER BY s.key"
             ).fetchall()
-        report: dict = {"sources": [], "torn": [], "mismatched": []}
-        for row in sources:
-            entry = dict(row)
-            report["sources"].append(entry)
-            if not entry["complete"]:
-                report["torn"].append(entry["key"])
-            elif entry["actual"] != entry["ingested_records"]:
-                report["mismatched"].append(entry["key"])
-        report["ok"] = not report["torn"] and not report["mismatched"]
+            for row in sources:
+                entry = dict(row)
+                source_id = entry.pop("source_id")
+                report["sources"].append(entry)
+                if not entry["complete"]:
+                    report["torn"].append(entry["key"])
+                    continue
+                if entry["actual"] != entry["ingested_records"]:
+                    report["mismatched"].append(entry["key"])
+                if not self._groups_match(source_id):
+                    report["mismatched_groups"].append(entry["key"])
+        report["ok"] = not (
+            report["torn"] or report["mismatched"] or report["mismatched_groups"]
+        )
         return report
+
+    def _groups_match(self, source_id: int) -> bool:
+        """Whether a source's stored group rows are those of its records."""
+        stored = self._connection.execute(
+            "SELECT * FROM record_groups WHERE source_id = ?", (source_id,)
+        )
+        return collections.Counter(map(tuple, stored)) == collections.Counter(
+            self._source_groups(source_id)
+        )
 
     def rebuild_from_store(self, results_dir: str | Path) -> dict:
         """Drop everything, re-ingest every results JSON in a store dir.
@@ -560,8 +663,8 @@ class Warehouse:
     ) -> dict:
         """Run one named analytics report (timed); see ``analytics.py``.
 
-        ``sweep`` and ``temperature`` over ``acmin`` come from SQL group
-        totals (:func:`~repro.warehouse.analytics.grouped_report`);
+        ``sweep`` and ``temperature`` over ``acmin`` re-group stored
+        group totals (:func:`~repro.warehouse.analytics.grouped_report`);
         every other report, and those two when the totals would not be
         exact, fold rows (:func:`~repro.warehouse.analytics.run_report`).
         ``warehouse.queries`` counts each call under the ``path`` that
@@ -652,26 +755,31 @@ class Warehouse:
         module_id: str | None = None,
         die_key: str | None = None,
     ) -> list[tuple] | None:
-        """Per-group totals of an INTEGER column over complete sources.
+        """Per-group ``acmin`` totals over complete sources.
 
-        One ``GROUP BY keys`` returning, per group, ``(*key values,
-        COUNT(*), COUNT(field), SUM(field), MIN(field), MAX(field))``
-        in no particular order.  These totals are exact and independent
-        of row order only while every ``field`` value is an INTEGER (or
-        NULL) and the sum fits 64 bits, so ``None`` is returned — fold
-        the rows instead — when a value is stored otherwise (a
-        non-integral ``acmin`` ingests as REAL) or ``SUM`` raises
-        ``integer overflow``.
+        Re-groups the complete sources' ``record_groups`` rows by
+        ``keys`` (any of ``module_id``, ``die_key``, ``temperature_c``,
+        ``t_aggon``) and returns, per group, ``(*key values, COUNT(*),
+        COUNT(acmin), SUM(acmin), MIN(acmin), MAX(acmin))`` over the
+        matching records, in no particular order: sums of the stored
+        counts and sums, the minimum of their minima, the maximum of
+        their maxima.  These totals are exact and independent of row
+        order only while every ``acmin`` is an INTEGER (or NULL) and
+        every sum fits 64 bits, so ``None`` is returned — fold the rows
+        instead — when a matching group row is flagged ``inexact`` or
+        the re-grouping ``SUM`` raises ``integer overflow``.
         """
-        self._check_columns(keys + (field,))
+        if field != "acmin" or not set(keys) <= set(_GROUP_KEYS):
+            raise WarehouseError(
+                f"no stored group totals of {field!r} by {list(keys)}; "
+                f"groupable: {list(_GROUP_KEYS)} of 'acmin'"
+            )
         group = ", ".join(f"r.{key}" for key in keys)
-        value = f"r.{field}"
         where, params = self._where(experiment, module_id, die_key)
         sql = (
-            f"SELECT {group}, COUNT(*), COUNT({value}), SUM({value}), "
-            f"MIN({value}), MAX({value}), "
-            f"MAX(typeof({value}) NOT IN ('integer', 'null')) "
-            "FROM records r "
+            f"SELECT {group}, SUM(r.records), SUM(r.observed), "
+            "SUM(r.acmin_sum), MIN(r.acmin_min), MAX(r.acmin_max), "
+            "MAX(r.inexact) FROM record_groups r "
             f"JOIN sources s ON s.source_id = r.source_id {where} "
             f"GROUP BY {group}"
         )

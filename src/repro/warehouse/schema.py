@@ -30,7 +30,9 @@ __all__ = [
 #: Bump when the table layout changes; an on-disk mismatch demands a
 #: ``repro warehouse rebuild`` (the file is derived, never the truth).
 #: v2: the ``(experiment, die_key)`` index covers the grouped reports.
-WAREHOUSE_SCHEMA_VERSION = 2
+#: v3: per-source group totals in ``record_groups``; the index is
+#: narrow again.
+WAREHOUSE_SCHEMA_VERSION = 3
 
 #: SQLite page size.  4 KiB matches common filesystem block sizes; the
 #: records table is wide but rows are small, so small pages keep the
@@ -74,11 +76,14 @@ def pragma_statements() -> tuple[str, ...]:
 #: ``(source_id, record_index)`` where ``record_index`` is the record's
 #: position in the campaign's sequential sweep order — the same order
 #: the JSONL results file lists them — so ordered retrieval replays the
-#: JSONL fold exactly.  ``idx_records_experiment_die`` covers every
-#: column the grouped ``sweep``/``temperature`` reports read (group
-#: keys, ``acmin``, the module filter and the join to ``sources``), so
-#: their ``GROUP BY`` walks the index in group order and never touches
-#: a table row.
+#: JSONL fold exactly.  ``record_groups`` holds each complete source's
+#: ``acmin`` totals per (experiment, module, die, temperature,
+#: t_AggON): record count, observed count, sum, minimum, maximum and an
+#: ``inexact`` flag (an ``acmin`` not stored as INTEGER, or a ``SUM``
+#: past 64 bits).  They are written by one ``GROUP BY`` over the
+#: source's records in the transaction that makes it complete, and the
+#: grouped ``sweep``/``temperature`` reports re-group them instead of
+#: reading ``records``.
 SCHEMA_SQL = """
 CREATE TABLE IF NOT EXISTS meta (
     key   TEXT PRIMARY KEY,
@@ -132,6 +137,24 @@ CREATE INDEX IF NOT EXISTS idx_records_module_experiment_sweep
     ON records (module_id, experiment, sweep_value);
 
 CREATE INDEX IF NOT EXISTS idx_records_experiment_die
-    ON records (experiment, die_key, temperature_c, t_aggon, acmin,
-                module_id, source_id);
+    ON records (experiment, die_key);
+
+CREATE TABLE IF NOT EXISTS record_groups (
+    source_id     INTEGER NOT NULL REFERENCES sources(source_id)
+        ON DELETE CASCADE,
+    experiment    TEXT NOT NULL,
+    module_id     TEXT NOT NULL,
+    die_key       TEXT NOT NULL,
+    temperature_c REAL,
+    t_aggon       REAL,
+    records       INTEGER NOT NULL,
+    observed      INTEGER NOT NULL,
+    acmin_sum     INTEGER,
+    acmin_min     INTEGER,
+    acmin_max     INTEGER,
+    inexact       INTEGER NOT NULL
+);
+
+CREATE INDEX IF NOT EXISTS idx_record_groups_source
+    ON record_groups (source_id);
 """

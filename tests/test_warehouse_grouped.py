@@ -1,16 +1,22 @@
 """The grouped ``sweep``/``temperature`` path against the row fold.
 
 ``Warehouse.analytics`` answers ``sweep`` and ``temperature`` over
-``acmin`` from one SQL ``GROUP BY`` (count, observed, sum, minimum,
-maximum per group) instead of folding every row.  These tests hold that
-path to the row fold (``run_report`` over the same warehouse's
-``iter_rows``) and to the independent JSONL fold of
-``tests/test_warehouse_diff.py``:
+``acmin`` by re-grouping ``record_groups`` (count, observed, sum,
+minimum, maximum per source and group, written when a source becomes
+complete) instead of folding every row.  These tests hold that path to
+the row fold (``run_report`` over the same warehouse's ``iter_rows``)
+and to the independent JSONL fold of ``tests/test_warehouse_diff.py``:
 
 * unfiltered, per module and per die, with ``None`` observations;
 * the two fallbacks — a non-integral ``acmin`` (stored as REAL) and
   ``acmin`` values whose sum passes 2^63 — which must take the row fold
   and still equal the JSONL fold;
+* every path that makes records visible: a checkpoint finalized while
+  partial and then caught up (late shards into a complete source), a
+  backfill re-ingested under the same key, and a crash at the commit
+  that would make a source complete;
+* ``verify`` recomputing the group rows, and a v2 file refused before
+  the group table is built into it;
 * generated multi-source warehouses whose source keys sort differently
   from their ingest order, next to a streaming source that is never
   finalized (so it stays invisible), under module and die filters.
@@ -26,8 +32,13 @@ import sqlite3
 import pytest
 
 from repro.characterization.campaign import CampaignSpec, dumps_results
+from repro.characterization.engine import CampaignCheckpoint
 from repro.characterization.results import AcminRecord
+from repro.cli import main
 from repro.obs import MetricsRegistry
+from repro.testkit import FaultPlan, FaultSpec
+from repro.testkit.faults import InjectedCrash
+from repro.testkit.points import WAREHOUSE_COMMIT
 from repro.testkit.gen import experiment_records, lists, sampled_from, tuples
 from repro.testkit.harness import prop
 from repro.warehouse import REPORTS, Warehouse, WarehouseError, run_report
@@ -276,6 +287,179 @@ def test_a_file_without_the_covering_index_asks_for_a_rebuild(tmp_path):
     ]
     connection.close()
     assert columns == ["experiment", "die_key"]
+
+
+def test_a_v2_file_is_refused_before_the_group_table_is_built(tmp_path):
+    path = tmp_path / "v2.sqlite3"
+    Warehouse(path).close()
+    # Turn it into a v2 file: no group table, the covering index.
+    connection = sqlite3.connect(path)
+    connection.executescript(
+        "DROP TABLE record_groups;"
+        "DROP INDEX idx_records_experiment_die;"
+        "CREATE INDEX idx_records_experiment_die ON records (experiment,"
+        " die_key, temperature_c, t_aggon, acmin, module_id, source_id);"
+        "UPDATE meta SET value = '2' WHERE key = 'schema_version';"
+    )
+    connection.close()
+    with pytest.raises(WarehouseError, match="repro warehouse rebuild"):
+        Warehouse(path)
+    connection = sqlite3.connect(path)
+    tables = {
+        row[0]
+        for row in connection.execute(
+            "SELECT name FROM sqlite_master WHERE type = 'table'"
+        )
+    }
+    connection.close()
+    assert "record_groups" not in tables
+
+
+def _assert_grouped_answers(warehouse: Warehouse, docs: dict) -> None:
+    """Grouped ``sweep``/``temperature`` == the row fold == the JSONL fold."""
+    for report in GROUPED:
+        for filters in _filters():
+            grouped_before = _queries(warehouse, "grouped")
+            answer = warehouse.analytics(report, **filters)
+            assert _queries(warehouse, "grouped") == grouped_before + 1
+            assert json.dumps(answer) == json.dumps(
+                run_report(warehouse, report, **filters)
+            ), (report, filters)
+            expected = _expected(report, docs, "acmin", filters)
+            assert canon(answer) == canon(expected), (report, filters)
+
+
+def _shard(index: int, records: list, size: int) -> dict:
+    """Shard ``index`` of ``records`` in the engine-checkpoint line shape."""
+    units = range(index * size, (index + 1) * size)
+    return {
+        "shard_id": f"shard-{index}",
+        "seed": index,
+        "attempt": 1,
+        "units": [
+            {"unit": unit, "record": dataclasses.asdict(records[unit])}
+            for unit in units
+        ],
+    }
+
+
+@pytest.mark.parametrize("finalize_again", [False, True])
+def test_late_shards_into_a_complete_source_regroup_it(tmp_path, finalize_again):
+    spec = _spec("stream")
+    records = _acmin_records(5, 48)
+    size = 8
+    # A partial checkpoint: the first, third and fifth of six shards.
+    checkpoint = CampaignCheckpoint(tmp_path / "job.jsonl", spec, shard_size=size)
+    checkpoint.start()
+    first, late = (0, 2, 4), (1, 3, 5)
+    for index in first:
+        checkpoint.record_shard_payload(_shard(index, records, size))
+    backfill = dumps_results(_spec("backfill"), _acmin_records(6, 60))
+
+    def visible(indexes) -> dict:
+        units = sorted(u for i in indexes for u in range(i * size, (i + 1) * size))
+        return {
+            "backfill": backfill,
+            "stream": dumps_results(spec, [records[u] for u in units]),
+        }
+
+    with Warehouse(tmp_path / "wh.sqlite3", batch_size=16) as warehouse:
+        warehouse.ingest_results_text(backfill, key="backfill")
+        assert warehouse.ingest_checkpoint_file(
+            checkpoint.path, key="stream", finalize=True
+        ) == 24
+        _assert_grouped_answers(warehouse, visible(first))
+        for index in late:
+            checkpoint.record_shard_payload(_shard(index, records, size))
+        assert warehouse.ingest_checkpoint_file(
+            checkpoint.path, key="stream", finalize=finalize_again
+        ) == 24
+        _assert_grouped_answers(warehouse, visible(first + late))
+        assert warehouse.verify()["ok"]
+
+
+def test_reingesting_a_key_regroups_only_its_new_records():
+    with Warehouse(":memory:", batch_size=7) as warehouse:
+        for seed, count in ((1, 90), (2, 30)):
+            records = _acmin_records(seed, count)
+            warehouse.ingest_records(_spec("again"), records, key="again")
+            _assert_grouped_answers(
+                warehouse, {"again": dumps_results(_spec("again"), records)}
+            )
+        assert warehouse.verify()["ok"]
+
+
+def _group_rows(path) -> int:
+    connection = sqlite3.connect(path)
+    try:
+        return connection.execute("SELECT COUNT(*) FROM record_groups").fetchone()[0]
+    finally:
+        connection.close()
+
+
+def test_a_crash_at_the_finalize_commit_leaves_no_group_rows(tmp_path):
+    path = tmp_path / "wh.sqlite3"
+    with Warehouse(path) as warehouse:
+        warehouse.open_source(_spec("stream"), key="stream")
+        warehouse.ingest_shard("stream", _shard(0, _acmin_records(3, 12), 12))
+        with FaultPlan(FaultSpec(WAREHOUSE_COMMIT, "crash", at_hit=1)) as plan:
+            with pytest.raises(InjectedCrash):
+                warehouse.finalize_source("stream")
+        assert plan.fired
+        assert warehouse.verify()["torn"] == ["stream"]
+    assert _group_rows(path) == 0
+    with Warehouse(path) as warehouse:
+        warehouse.finalize_source("stream")
+        assert warehouse.verify()["ok"]
+    assert _group_rows(path) > 0
+
+
+#: One group row of source ``a-acmin`` that has an observation.
+_A_ROW = (
+    "(SELECT MIN(g.rowid) FROM record_groups g JOIN sources s"
+    " USING (source_id) WHERE s.key = 'a-acmin' AND g.acmin_max IS NOT NULL)"
+)
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        f"UPDATE record_groups SET acmin_max = acmin_max + 1 WHERE rowid = {_A_ROW}",
+        f"DELETE FROM record_groups WHERE rowid = {_A_ROW}",
+        "INSERT INTO record_groups SELECT * FROM record_groups"
+        f" WHERE rowid = {_A_ROW}",
+    ],
+    ids=["altered", "missing", "duplicated"],
+)
+def test_verify_finds_altered_group_rows_and_rebuild_repairs_them(
+    tmp_path, capsys, tamper
+):
+    data_dir = tmp_path / "state"
+    (data_dir / "results").mkdir(parents=True)
+    docs = {
+        "a-acmin": dumps_results(_spec("a"), _acmin_records(8, 40)),
+        "b-acmin": dumps_results(_spec("b"), _acmin_records(9, 40)),
+    }
+    for key, text in docs.items():
+        (data_dir / "results" / f"{key}.json").write_text(text)
+    assert main(["warehouse", "rebuild", "--data-dir", str(data_dir)]) == 0
+    db_path = data_dir / "warehouse.sqlite3"
+    connection = sqlite3.connect(db_path)
+    connection.execute(tamper)
+    connection.commit()
+    connection.close()
+
+    with Warehouse(db_path) as warehouse:
+        report = warehouse.verify()
+    assert not report["ok"]
+    assert report["mismatched_groups"] == ["a-acmin"]
+    assert report["torn"] == report["mismatched"] == []
+    assert main(["warehouse", "verify", "--db", str(db_path)]) == 1
+    assert main(["warehouse", "rebuild", "--data-dir", str(data_dir)]) == 0
+    assert main(["warehouse", "verify", "--db", str(db_path)]) == 0
+    capsys.readouterr()
+    with Warehouse(db_path) as warehouse:
+        _assert_grouped_answers(warehouse, docs)
 
 
 # ----------------------------------------------------------------------

@@ -415,13 +415,14 @@ def bench_warehouse_analytics(smoke: bool) -> dict:
     ~100k-record fixture; answers are asserted byte-identical, so the
     wall-time ratio is a true like-for-like speedup.  The replay path is
     what the figure benches used to do per query: re-parse the results
-    document and fold the raw records.  Two query families are timed and
-    gated separately: ``acmin`` per module (a row fold over an index
-    scan) and ``sweep`` unfiltered and per die (SQL group totals over
-    the covering index).  The gate (>= 10x full scale, >= 2x smoke)
-    holds the warehouse to its headline claim on both.  ``wall_s`` is
-    the ``acmin`` family alone, the work earlier trajectory points
-    timed; the ``sweep`` family's times are in ``detail``.
+    document and fold the raw records.  Three query families are timed
+    and gated separately: ``acmin`` per module (a row fold over an index
+    scan), ``sweep`` unfiltered and per die, and ``sweep`` per module
+    (the last two re-group the per-source group totals stored at
+    ingest).  The gate (>= 10x full scale, >= 2x smoke) holds the
+    warehouse to its headline claim on each.  ``wall_s`` is the
+    ``acmin`` family alone, the work earlier trajectory points timed;
+    the ``sweep`` families' times are in ``detail``.
     """
     from repro.warehouse import Warehouse
     from repro.warehouse.analytics import (
@@ -436,26 +437,31 @@ def bench_warehouse_analytics(smoke: bool) -> dict:
         "acmin": fold_acmin_percentiles,
         "sweep": lambda rows: fold_sweep_summaries(rows, "acmin"),
     }
-    queries = [("acmin", {"module_id": f"M{module}"}) for module in range(6)]
-    queries += [("sweep", {})]
-    queries += [("sweep", {"die_key": f"die-{die}"}) for die in range(6)]
-    warehouse_s = dict.fromkeys(folds, 0.0)
-    replay_s = dict.fromkeys(folds, 0.0)
+    # (family, report, filters)
+    queries = [("acmin", "acmin", {"module_id": f"M{m}"}) for m in range(6)]
+    queries += [("sweep", "sweep", {})]
+    queries += [("sweep", "sweep", {"die_key": f"die-{die}"}) for die in range(6)]
+    queries += [
+        ("sweep_module", "sweep", {"module_id": f"M{m}"}) for m in range(6)
+    ]
+    families = dict.fromkeys(family for family, _, _ in queries)
+    warehouse_s = dict.fromkeys(families, 0.0)
+    replay_s = dict.fromkeys(families, 0.0)
 
     with tempfile.TemporaryDirectory() as tmp:
         warehouse = Warehouse(Path(tmp) / "bench.sqlite3")
         try:
             warehouse.ingest_results_text(text, key="bench")  # not timed
             indexed = []
-            for report, filters in queries:
+            for family, report, filters in queries:
                 start = time.perf_counter()
                 indexed.append(warehouse.analytics(report, **filters))
-                warehouse_s[report] += time.perf_counter() - start
+                warehouse_s[family] += time.perf_counter() - start
         finally:
             warehouse.close()
 
     replayed = []
-    for report, filters in queries:
+    for family, report, filters in queries:
         start = time.perf_counter()
         raw = json.loads(text)["records"]  # the replay re-parses per query
         replayed.append(
@@ -467,46 +473,52 @@ def bench_warehouse_analytics(smoke: bool) -> dict:
                 ]
             )
         )
-        replay_s[report] += time.perf_counter() - start
+        replay_s[family] += time.perf_counter() - start
 
-    for (report, filters), got, expected in zip(queries, indexed, replayed):
+    for (_, report, filters), got, expected in zip(queries, indexed, replayed):
         if json.dumps(got, sort_keys=True) != json.dumps(expected, sort_keys=True):
             raise RuntimeError(
                 f"warehouse {report} {filters} diverged from JSONL replay"
             )
     speedups = {
-        report: replay_s[report] / warehouse_s[report]
-        if warehouse_s[report] > 0
+        family: replay_s[family] / warehouse_s[family]
+        if warehouse_s[family] > 0
         else 0.0
-        for report in folds
+        for family in families
     }
     floor = 2.0 if smoke else 10.0
-    for report, speedup in speedups.items():
+    for family, speedup in speedups.items():
         if speedup < floor:
             raise RuntimeError(
-                f"warehouse {report} analytics speedup {speedup:.1f}x is below "
-                f"the {floor:.0f}x gate (indexed {warehouse_s[report]:.3f}s vs "
-                f"replay {replay_s[report]:.3f}s)"
+                f"warehouse {family} analytics speedup {speedup:.1f}x is below "
+                f"the {floor:.0f}x gate (indexed {warehouse_s[family]:.3f}s vs "
+                f"replay {replay_s[family]:.3f}s)"
             )
-    acmin_queries = sum(report == "acmin" for report, _ in queries)
+    counts = {
+        family: sum(f == family for f, _, _ in queries) for family in families
+    }
+    detail: dict = {
+        "records": records,
+        "queries": counts["acmin"],
+        "replay_wall_s": replay_s["acmin"],
+        "speedup": speedups["acmin"],
+    }
+    for family in ("sweep", "sweep_module"):
+        detail[f"{family}_queries"] = counts[family]
+        detail[f"{family}_wall_s"] = warehouse_s[family]
+        detail[f"{family}_replay_wall_s"] = replay_s[family]
+        detail[f"{family}_speedup"] = speedups[family]
+    detail["byte_identical"] = True
     return {
         "name": "warehouse_analytics",
         "wall_s": warehouse_s["acmin"],
         "throughput": (
-            acmin_queries / warehouse_s["acmin"] if warehouse_s["acmin"] > 0 else 0.0
+            counts["acmin"] / warehouse_s["acmin"]
+            if warehouse_s["acmin"] > 0
+            else 0.0
         ),
         "unit": "queries/s",
-        "detail": {
-            "records": records,
-            "queries": acmin_queries,
-            "replay_wall_s": replay_s["acmin"],
-            "speedup": speedups["acmin"],
-            "sweep_queries": len(queries) - acmin_queries,
-            "sweep_wall_s": warehouse_s["sweep"],
-            "sweep_replay_wall_s": replay_s["sweep"],
-            "sweep_speedup": speedups["sweep"],
-            "byte_identical": True,
-        },
+        "detail": detail,
         "profiler_top": [],
     }
 
