@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -44,6 +44,12 @@ REFERENCE_ROW_BITS = 65536
 #: Expected count below a threshold that makes that threshold the expected
 #: per-row minimum (Euler-Mascheroni-ish order-statistics constant).
 MIN_ANCHOR_COUNT = 0.56
+
+#: Rows whose :class:`RowSummary` a population keeps, least recently used
+#: out first.  A summary takes about 1.2 KB with its table entry, so a
+#: full table holds about 40 MB; an ACmin sweep over the paper's 3,072
+#: sites of a module senses about 28k rows (9 per site).
+SUMMARY_ROWS = 32768
 
 
 @dataclass(frozen=True)
@@ -221,7 +227,7 @@ EMPTY_SPEC = PopulationSpec(anchors=(), cap=1.0)
 class CellSet:
     """One population's materialized cells in a row."""
 
-    columns: np.ndarray  # int64 bit positions
+    columns: np.ndarray  # bit positions: uint16 in rows of up to 65536 bits, else int64
     thresholds: np.ndarray  # float64
     anti: np.ndarray  # bool: True for anti-cells (charged encodes 0)
 
@@ -236,9 +242,9 @@ class CellSet:
         return float(self.thresholds.min()) if self.thresholds.size else math.inf
 
 
-def _empty_cellset() -> CellSet:
+def _empty_cellset(column_dtype: type) -> CellSet:
     return CellSet(
-        columns=np.empty(0, dtype=np.int64),
+        columns=np.empty(0, dtype=column_dtype),
         thresholds=np.empty(0, dtype=np.float64),
         anti=np.empty(0, dtype=bool),
     )
@@ -246,33 +252,16 @@ def _empty_cellset() -> CellSet:
 
 @dataclass
 class WeakCells:
-    """All materialized weak cells of one row."""
+    """All materialized weak cells of one row.
+
+    The device's sense reads these arrays to commit each flip; a search
+    probe's sense needs only the row's :class:`RowSummary`.
+    """
 
     row_bits: int
     hammer: CellSet
     press: CellSet
     retention: CellSet
-    #: :meth:`eligible_minima` per fill byte; lives and dies with the row.
-    _minima: dict[int, tuple[float, float, float]] = field(
-        default_factory=dict, repr=False, compare=False
-    )
-
-    def eligible_minima(self, byte_value: int) -> tuple[float, float, float]:
-        """Smallest (hammer, press, retention) threshold that can flip.
-
-        Only cells eligible under a row filled with ``byte_value``
-        count: hammer cells flip only when discharged, press and
-        retention cells only when charged (inf when none is eligible).
-        """
-        minima = self._minima.get(byte_value)
-        if minima is None:
-            minima = (
-                _eligible_min(self.hammer, byte_value, charged=False),
-                _eligible_min(self.press, byte_value, charged=True),
-                _eligible_min(self.retention, byte_value, charged=True),
-            )
-            self._minima[byte_value] = minima
-        return minima
 
     @property
     def min_hammer_threshold(self) -> float:
@@ -285,12 +274,62 @@ class WeakCells:
         return self.press.min_threshold
 
 
-def _eligible_min(cells: CellSet, byte_value: int, charged: bool) -> float:
-    """Smallest threshold among cells that hold (or lack) charge under a fill."""
-    bits = (byte_value >> (cells.columns & 7)) & 1  # LSB-first, as bits_from_bytes
-    holding_charge = charged_mask(bits, cells.anti)
-    thresholds = cells.thresholds[holding_charge if charged else ~holding_charge]
-    return float(thresholds.min()) if thresholds.size else math.inf
+#: Bit (``column & 7``) and polarity of each of the 16 cell classes a
+#: :class:`RowSummary` keeps per population, class ``2 * (column & 7) + anti``.
+_CLASS_BIT = np.repeat(np.arange(8), 2)
+_CLASS_ANTI = np.tile(np.array([False, True]), 8)
+
+
+class RowSummary:
+    """A row's weak cells reduced to what decides a sense under a uniform fill.
+
+    ``classes[p, 2 * (column & 7) + anti]`` is the smallest threshold of
+    population ``p`` (hammer, press, retention) among the row's cells of
+    that bit and polarity, inf when there are none: 48 floats.  Under a
+    row filled with one byte, a cell's stored bit is bit ``column & 7``
+    of that byte, so whether the cell can flip depends on its class
+    alone (docs/MODEL.md section 4), and the smallest eligible threshold
+    of a population is the smallest of 8 of its 16 classes.
+    :meth:`eligible_minima` memoizes that pick per byte.
+    """
+
+    __slots__ = ("classes", "_minima")
+
+    def __init__(self, cells: WeakCells) -> None:
+        self.classes = np.stack(
+            [_class_minima(cells.hammer), _class_minima(cells.press), _class_minima(cells.retention)]
+        )
+        self._minima: dict[int, tuple[float, float, float]] = {}
+
+    def eligible_minima(self, byte_value: int) -> tuple[float, float, float]:
+        """Smallest (hammer, press, retention) threshold that can flip.
+
+        Only cells eligible under a row filled with ``byte_value``
+        count: hammer cells flip only when discharged, press and
+        retention cells only when charged (inf when none is eligible).
+        """
+        minima = self._minima.get(byte_value)
+        if minima is None:
+            minima = self._minima[byte_value] = _eligible_minima(self.classes, byte_value)
+        return minima
+
+
+def _class_minima(cells: CellSet) -> np.ndarray:
+    """Smallest threshold in each of the 16 (``column & 7``, polarity) classes."""
+    minima = np.full(16, math.inf)
+    np.minimum.at(minima, 2 * (cells.columns & 7) + cells.anti, cells.thresholds)
+    return minima
+
+
+def _eligible_minima(classes: np.ndarray, byte_value: int) -> tuple[float, float, float]:
+    """The (hammer, press, retention) minima over the classes a fill lets flip."""
+    holding_charge = charged_mask((byte_value >> _CLASS_BIT) & 1, _CLASS_ANTI)  # LSB-first
+    hammer, press, retention = classes
+    return (
+        float(hammer[~holding_charge].min()),
+        float(press[holding_charge].min()),
+        float(retention[holding_charge].min()),
+    )
 
 
 def _sample_columns(
@@ -400,7 +439,16 @@ def _sample_thresholds(
 
 
 class CellPopulation:
-    """Per-module lazy factory of :class:`WeakCells`, keyed by (rank, bank, row)."""
+    """Per-module lazy factory of :class:`WeakCells`, keyed by (rank, bank, row).
+
+    :meth:`row` is the only sampler.  It keeps the last ``cache_rows``
+    rows' cell arrays, the device's working set.  :meth:`summary` keeps
+    the last :data:`SUMMARY_ROWS` rows' :class:`RowSummary`, all that
+    search probes read: a row it samples leaves the array cache again
+    once summarized, unless :meth:`row` had cached it before, and a
+    later :meth:`row` of it samples the same cells from the same
+    per-row stream.
+    """
 
     def __init__(
         self,
@@ -424,6 +472,8 @@ class CellPopulation:
         self.true_cell_fraction = true_cell_fraction
         self._cache: OrderedDict[tuple[int, int, int], WeakCells] = OrderedDict()
         self._cache_rows = cache_rows
+        self._summaries: OrderedDict[tuple[int, int, int], RowSummary] = OrderedDict()
+        self._column_dtype = np.uint16 if row_bits <= 1 << 16 else np.int64
 
     def _row_scale(self) -> float:
         return self.row_bits / REFERENCE_ROW_BITS
@@ -435,7 +485,7 @@ class CellPopulation:
         forbidden: np.ndarray | None = None,
     ) -> CellSet:
         if spec.empty:
-            return _empty_cellset()
+            return _empty_cellset(self._column_dtype)
         row_factor = 1.0
         if spec.row_sigma > 0.0:
             row_factor = float(
@@ -446,11 +496,13 @@ class CellPopulation:
         count = int(rng.poisson(expected)) if expected > 0 else 0
         count = min(count, self.row_bits - (forbidden.size if forbidden is not None else 0))
         if count <= 0:
-            return _empty_cellset()
+            return _empty_cellset(self._column_dtype)
         columns = _sample_columns(rng, count, self.row_bits, spec.cluster_size_mean, forbidden)
         thresholds = _sample_thresholds(rng, spec, columns.size, row_factor)
         anti = rng.random(columns.size) >= self.true_cell_fraction
-        return CellSet(columns=columns, thresholds=thresholds, anti=anti)
+        return CellSet(
+            columns=columns.astype(self._column_dtype), thresholds=thresholds, anti=anti
+        )
 
     def row(self, rank: int, bank: int, row: int) -> WeakCells:
         """Materialize (or fetch cached) weak cells of one row."""
@@ -473,6 +525,22 @@ class CellPopulation:
         if len(self._cache) > self._cache_rows:
             self._cache.popitem(last=False)
         return cells
+
+    def summary(self, rank: int, bank: int, row: int) -> RowSummary:
+        """The :class:`RowSummary` of one row, sampled through :meth:`row` once."""
+        key = (rank, bank, row)
+        summary = self._summaries.get(key)
+        if summary is not None:
+            self._summaries.move_to_end(key)
+            return summary
+        cached = key in self._cache
+        summary = RowSummary(self.row(rank, bank, row))
+        if not cached:
+            self._cache.pop(key, None)
+        self._summaries[key] = summary
+        if len(self._summaries) > SUMMARY_ROWS:
+            self._summaries.popitem(last=False)
+        return summary
 
 
 def charged_mask(bits: np.ndarray, anti: np.ndarray) -> np.ndarray:

@@ -530,10 +530,11 @@ class DoseTwin(DramDevice):
     * a sense decides whether *any* cell flips, by comparing the row's
       hammer dose, press dose and unrefreshed time with the row's
       smallest eligible hammer, press and retention thresholds for that
-      byte (:meth:`repro.dram.cells.WeakCells.eligible_minima`).  The
-      three populations are column-disjoint and every per-cell test is
+      byte, read from the row's 48-float summary
+      (:meth:`repro.dram.cells.CellPopulation.summary`).  The three
+      populations are column-disjoint and every per-cell test is
       monotone in the threshold, so this is the device's verdict; no
-      cell array is scanned and no :class:`Bitflip` is built.
+      cell array is scanned or kept and no :class:`Bitflip` is built.
 
     :attr:`read_flipped` then equals ``bool(bitflips)`` over the device's
     row reads.  Sensing or classifying a row whose content the twin does
@@ -581,7 +582,7 @@ class DoseTwin(DramDevice):
         if exposure is None:
             return False
         hammer_dose, press_dose, unrefreshed, scale = exposure
-        hammer, press, retention = self.population.row(*key).eligible_minima(byte)
+        hammer, press, retention = self.population.summary(*key).eligible_minima(byte)
         if (
             (hammer_dose > 0.0 and hammer <= hammer_dose)
             or (press_dose > 0.0 and press <= press_dose)

@@ -584,16 +584,16 @@ def _mutate_ineligible_minima() -> Iterator[None]:
     """Bug: the replay's row minima ignore which cells the data lets flip."""
     from repro.dram import cells
 
-    original = cells._eligible_min
+    original = cells._eligible_minima
 
-    def mutated(cell_set, byte_value: int, charged: bool) -> float:
-        return cell_set.min_threshold
+    def mutated(classes, byte_value: int) -> tuple[float, float, float]:
+        return tuple(classes.min(axis=1).tolist())
 
-    cells._eligible_min = mutated
+    cells._eligible_minima = mutated
     try:
         yield
     finally:
-        cells._eligible_min = original
+        cells._eligible_minima = original
 
 
 # ----------------------------------------------------------------------

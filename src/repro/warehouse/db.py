@@ -15,10 +15,12 @@ Crash-safety contract (exercised by ``tests/test_warehouse_crash.py``):
   that makes it visible (the final commit of
   :meth:`Warehouse.ingest_records`, :meth:`Warehouse.finalize_source`,
   and any :meth:`Warehouse.ingest_shard` into a complete source, which
-  rewrites them), so a crash at the commit leaves neither the complete
-  flag nor the group rows (``tests/test_warehouse_grouped.py``).  They
-  cascade with the source row, and :meth:`Warehouse.verify` recomputes
-  them from the records.
+  rewrites them; a :meth:`Warehouse.ingest_checkpoint_file` catch-up of
+  a complete source commits all its late shards with one rewrite), so
+  a crash at the commit leaves neither the complete flag nor the group
+  rows, nor visible records without them
+  (``tests/test_warehouse_grouped.py``).  They cascade with the source
+  row, and :meth:`Warehouse.verify` recomputes them from the records.
 * Streaming shard ingest writes the ``shards`` provenance row and the
   shard's records in one transaction keyed by ``(source, shard_id)``,
   so a re-delivered shard (lease reassignment, worker retry) is a
@@ -383,6 +385,53 @@ class Warehouse:
                 self._connection.rollback()
                 raise
 
+    def _source_row(self, key: str) -> sqlite3.Row:
+        """An open source's id, experiment and completeness (lock held)."""
+        row = self._connection.execute(
+            "SELECT source_id, experiment, complete FROM sources WHERE key = ?",
+            (key,),
+        ).fetchone()
+        if row is None:
+            raise WarehouseError(
+                f"no open warehouse source {key!r}; call "
+                "open_source() before streaming shards"
+            )
+        return row
+
+    def _insert_shard(self, source: sqlite3.Row, payload: dict) -> int | None:
+        """Write one shard's provenance row and records (the caller commits).
+
+        None when the shard is already ingested: nothing is written.
+        """
+        source_id = int(source["source_id"])
+        fault_point(WAREHOUSE_INGEST)
+        cursor = self._connection.cursor()
+        seed = payload.get("seed")
+        cursor.execute(
+            "INSERT OR IGNORE INTO shards (source_id, shard_id, "
+            "seed, attempt, units) VALUES (?, ?, ?, ?, ?)",
+            (
+                source_id,
+                payload["shard_id"],
+                str(seed) if seed is not None else None,
+                payload.get("attempt"),
+                len(payload.get("units", ())),
+            ),
+        )
+        if cursor.rowcount == 0:
+            return None
+        rows = [
+            _record_row(source_id, entry["unit"], source["experiment"], entry["record"])
+            for entry in payload.get("units", ())
+        ]
+        cursor.executemany(_INSERT_RECORD, rows)
+        cursor.execute(
+            "UPDATE sources SET ingested_records = "
+            "ingested_records + ? WHERE source_id = ?",
+            (len(rows), source_id),
+        )
+        return len(rows)
+
     def ingest_shard(self, key: str, payload: dict) -> int:
         """Ingest one checkpoint shard line exactly once.
 
@@ -396,62 +445,39 @@ class Warehouse:
         source's group rows in the same commit.  Returns the number of
         records ingested (0 for duplicates).
         """
+        return self._ingest_shards(key, [payload])
+
+    def _ingest_shards(self, key: str, payloads: list[dict]) -> int:
+        """Ingest shards exactly once each, in one commit; returns the new records.
+
+        Into a complete source, the new records and the source's group
+        rows, rewritten once, become visible together, so a crash at
+        either fault point leaves group rows that match the visible
+        records.
+        """
         started = monotonic_s()
         with self._lock:
             try:
-                row = self._connection.execute(
-                    "SELECT source_id, experiment, complete FROM sources "
-                    "WHERE key = ?",
-                    (key,),
-                ).fetchone()
-                if row is None:
-                    raise WarehouseError(
-                        f"no open warehouse source {key!r}; call "
-                        "open_source() before streaming shards"
-                    )
-                source_id = int(row["source_id"])
-                experiment = row["experiment"]
-                fault_point(WAREHOUSE_INGEST)
-                cursor = self._connection.cursor()
-                seed = payload.get("seed")
-                cursor.execute(
-                    "INSERT OR IGNORE INTO shards (source_id, shard_id, "
-                    "seed, attempt, units) VALUES (?, ?, ?, ?, ?)",
-                    (
-                        source_id,
-                        payload["shard_id"],
-                        str(seed) if seed is not None else None,
-                        payload.get("attempt"),
-                        len(payload.get("units", ())),
-                    ),
-                )
-                if cursor.rowcount == 0:
+                source = self._source_row(key)
+                counts = [self._insert_shard(source, payload) for payload in payloads]
+                new = [count for count in counts if count is not None]
+                if new:
+                    if source["complete"]:
+                        self._write_groups(int(source["source_id"]))
+                    fault_point(WAREHOUSE_COMMIT)
+                    self._connection.commit()
+                else:
                     self._connection.rollback()
-                    self._shards_duplicate.inc()
-                    return 0
-                rows = [
-                    _record_row(
-                        source_id, entry["unit"], experiment, entry["record"]
-                    )
-                    for entry in payload.get("units", ())
-                ]
-                cursor.executemany(_INSERT_RECORD, rows)
-                cursor.execute(
-                    "UPDATE sources SET ingested_records = "
-                    "ingested_records + ? WHERE source_id = ?",
-                    (len(rows), source_id),
-                )
-                if row["complete"]:
-                    self._write_groups(source_id)
-                fault_point(WAREHOUSE_COMMIT)
-                self._connection.commit()
             except BaseException:
                 self._connection.rollback()
                 raise
-        self._shards_ingested.inc()
-        self._records_ingested.inc(len(rows))
-        self._ingest_seconds.record(monotonic_s() - started)
-        return len(rows)
+        if len(new) < len(counts):
+            self._shards_duplicate.inc(len(counts) - len(new))
+        if new:
+            self._shards_ingested.inc(len(new))
+            self._records_ingested.inc(sum(new))
+            self._ingest_seconds.record(monotonic_s() - started)
+        return sum(new)
 
     def ingest_checkpoint_file(
         self, path: str | Path, key: str, finalize: bool = False
@@ -464,13 +490,15 @@ class Warehouse:
         campaign is in flight, after a resume, or as a catch-up at job
         completion — it converges to the checkpoint's content.  A
         truncated trailing line (writer killed mid-append) is skipped,
-        matching ``CampaignCheckpoint.load``.  Returns the number of
-        *new* records ingested.
+        matching ``CampaignCheckpoint.load``.  Shards of an incomplete
+        source commit one by one (:meth:`ingest_shard`) before the
+        optional :meth:`finalize_source`; late shards of a complete
+        source commit together, with one rewrite of its group rows.
+        Returns the number of *new* records ingested.
         """
         text = Path(path).read_text()
         lines = text.splitlines()
         spec: CampaignSpec | None = None
-        ingested = 0
         shard_lines: list[dict] = []
         for line in lines:
             if not line.strip():
@@ -489,8 +517,11 @@ class Warehouse:
                 f"checkpoint {path} has no header line; cannot ingest"
             )
         self.open_source(spec, key=key, kind="checkpoint")
-        for payload in shard_lines:
-            ingested += self.ingest_shard(key, payload)
+        with self._lock:
+            complete = self._source_row(key)["complete"]
+        if complete:
+            return self._ingest_shards(key, shard_lines)
+        ingested = sum(self.ingest_shard(key, payload) for payload in shard_lines)
         if finalize:
             self.finalize_source(key)
         return ingested

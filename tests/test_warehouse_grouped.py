@@ -12,9 +12,10 @@ and to the independent JSONL fold of ``tests/test_warehouse_diff.py``:
   ``acmin`` values whose sum passes 2^63 — which must take the row fold
   and still equal the JSONL fold;
 * every path that makes records visible: a checkpoint finalized while
-  partial and then caught up (late shards into a complete source), a
-  backfill re-ingested under the same key, and a crash at the commit
-  that would make a source complete;
+  partial and then caught up (late shards into a complete source, one
+  group rewrite per catch-up, and a crash mid catch-up that changes
+  nothing), a backfill re-ingested under the same key, and a crash at
+  the commit that would make a source complete;
 * ``verify`` recomputing the group rows, and a v2 file refused before
   the group table is built into it;
 * generated multi-source warehouses whose source keys sort differently
@@ -38,7 +39,7 @@ from repro.cli import main
 from repro.obs import MetricsRegistry
 from repro.testkit import FaultPlan, FaultSpec
 from repro.testkit.faults import InjectedCrash
-from repro.testkit.points import WAREHOUSE_COMMIT
+from repro.testkit.points import WAREHOUSE_COMMIT, WAREHOUSE_INGEST
 from repro.testkit.gen import experiment_records, lists, sampled_from, tuples
 from repro.testkit.harness import prop
 from repro.warehouse import REPORTS, Warehouse, WarehouseError, run_report
@@ -343,39 +344,84 @@ def _shard(index: int, records: list, size: int) -> dict:
     }
 
 
-@pytest.mark.parametrize("finalize_again", [False, True])
-def test_late_shards_into_a_complete_source_regroup_it(tmp_path, finalize_again):
-    spec = _spec("stream")
-    records = _acmin_records(5, 48)
-    size = 8
-    # A partial checkpoint: the first, third and fifth of six shards.
-    checkpoint = CampaignCheckpoint(tmp_path / "job.jsonl", spec, shard_size=size)
+#: Records of the streamed source, and the shard size they are cut at.
+_STREAM = _acmin_records(5, 48)
+_SIZE = 8
+#: The shards a partial checkpoint holds, and the three that come late.
+_FIRST, _LATE = (0, 2, 4), (1, 3, 5)
+_BACKFILL = dumps_results(_spec("backfill"), _acmin_records(6, 60))
+
+
+def _visible(indexes) -> dict:
+    """The documents the warehouse answers for once ``indexes`` are in."""
+    units = sorted(u for i in indexes for u in range(i * _SIZE, (i + 1) * _SIZE))
+    return {
+        "backfill": _BACKFILL,
+        "stream": dumps_results(_spec("stream"), [_STREAM[u] for u in units]),
+    }
+
+
+def _finalized_partial_stream(tmp_path, warehouse: Warehouse) -> CampaignCheckpoint:
+    """A complete ``stream`` source of the first shards; the late ones appended."""
+    checkpoint = CampaignCheckpoint(tmp_path / "job.jsonl", _spec("stream"), shard_size=_SIZE)
     checkpoint.start()
-    first, late = (0, 2, 4), (1, 3, 5)
-    for index in first:
-        checkpoint.record_shard_payload(_shard(index, records, size))
-    backfill = dumps_results(_spec("backfill"), _acmin_records(6, 60))
+    for index in _FIRST:
+        checkpoint.record_shard_payload(_shard(index, _STREAM, _SIZE))
+    warehouse.ingest_results_text(_BACKFILL, key="backfill")
+    assert warehouse.ingest_checkpoint_file(
+        checkpoint.path, key="stream", finalize=True
+    ) == 24
+    _assert_grouped_answers(warehouse, _visible(_FIRST))
+    for index in _LATE:
+        checkpoint.record_shard_payload(_shard(index, _STREAM, _SIZE))
+    return checkpoint
 
-    def visible(indexes) -> dict:
-        units = sorted(u for i in indexes for u in range(i * size, (i + 1) * size))
-        return {
-            "backfill": backfill,
-            "stream": dumps_results(spec, [records[u] for u in units]),
-        }
 
+@pytest.mark.parametrize("finalize_again", [False, True])
+def test_late_shards_into_a_complete_source_regroup_it(
+    tmp_path, monkeypatch, finalize_again
+):
     with Warehouse(tmp_path / "wh.sqlite3", batch_size=16) as warehouse:
-        warehouse.ingest_results_text(backfill, key="backfill")
-        assert warehouse.ingest_checkpoint_file(
-            checkpoint.path, key="stream", finalize=True
-        ) == 24
-        _assert_grouped_answers(warehouse, visible(first))
-        for index in late:
-            checkpoint.record_shard_payload(_shard(index, records, size))
+        checkpoint = _finalized_partial_stream(tmp_path, warehouse)
+        rewrites = []
+        write_groups = Warehouse._write_groups
+
+        def counting(self, source_id):
+            rewrites.append(source_id)
+            write_groups(self, source_id)
+
+        monkeypatch.setattr(Warehouse, "_write_groups", counting)
         assert warehouse.ingest_checkpoint_file(
             checkpoint.path, key="stream", finalize=finalize_again
         ) == 24
-        _assert_grouped_answers(warehouse, visible(first + late))
+        assert len(rewrites) == 1  # one catch-up, one rewrite
+        _assert_grouped_answers(warehouse, _visible(_FIRST + _LATE))
         assert warehouse.verify()["ok"]
+
+
+@pytest.mark.parametrize(
+    "fault",
+    # The catch-up reaches the ingest point once per checkpoint shard,
+    # the three already ingested first: hit 5 is the second late shard.
+    [FaultSpec(WAREHOUSE_INGEST, "crash", at_hit=5), FaultSpec(WAREHOUSE_COMMIT, "crash", at_hit=1)],
+    ids=["ingest", "commit"],
+)
+def test_a_crash_in_a_catch_up_leaves_groups_matching_the_visible_records(
+    tmp_path, fault
+):
+    with Warehouse(tmp_path / "wh.sqlite3", batch_size=16) as warehouse:
+        checkpoint = _finalized_partial_stream(tmp_path, warehouse)
+        with FaultPlan(fault) as plan:
+            with pytest.raises(InjectedCrash):
+                warehouse.ingest_checkpoint_file(checkpoint.path, key="stream", finalize=True)
+        assert plan.fired
+        assert warehouse.verify()["ok"]
+        _assert_grouped_answers(warehouse, _visible(_FIRST))
+        assert warehouse.ingest_checkpoint_file(
+            checkpoint.path, key="stream", finalize=True
+        ) == 24
+        assert warehouse.verify()["ok"]
+        _assert_grouped_answers(warehouse, _visible(_FIRST + _LATE))
 
 
 def test_reingesting_a_key_regroups_only_its_new_records():
