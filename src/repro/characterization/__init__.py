@@ -17,11 +17,6 @@ from repro.characterization.acmin import AcminSearch, find_acmin
 from repro.characterization.taggonmin import find_taggonmin
 from repro.characterization.ber import measure_ber, onoff_sweep
 from repro.characterization.retention_test import retention_failures
-from repro.characterization.retention_profile import (
-    RetentionProfile,
-    profile_row,
-    profile_rows,
-)
 from repro.characterization.layout import infer_scramble, probe_neighbors
 from repro.characterization import registry
 from repro.characterization.campaign import (
@@ -60,9 +55,6 @@ __all__ = [
     "measure_ber",
     "onoff_sweep",
     "retention_failures",
-    "RetentionProfile",
-    "profile_row",
-    "profile_rows",
     "infer_scramble",
     "probe_neighbors",
     "CampaignSpec",

@@ -231,8 +231,13 @@ class DramDevice:
 
         Used by the test-program executor to run characterization loops with
         hundreds of thousands of iterations without iterating in Python.
-        Semantically equivalent to ``count`` act/precharge pairs whose
-        off-time is ``t_off``.
+        Each episode deposits the dose of one act/precharge pair whose
+        off-time is ``t_off``.  That is not what literal execution
+        deposits: the row's pending episode is flushed here with an
+        off-time that spans the whole bulk, and in a double-sided loop
+        literal execution closes each episode after about tRP, at the
+        other aggressor's ACT.  docs/MODEL.md §6 lists the measured
+        ratios.
         """
         self._check_address(address)
         if count <= 0:

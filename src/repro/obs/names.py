@@ -115,6 +115,7 @@ METRIC_NAMES: frozenset[str] = frozenset(
         "warehouse.queries",
         "warehouse.query_seconds",
         "warehouse.rows_fetched",
+        "warehouse.groups_fetched",
         "warehouse.sources",
         "warehouse.records",
         "warehouse.torn_detected",

@@ -29,7 +29,6 @@ from repro.sim.rowpolicy import (
     RowPolicy,
     TimeCappedPolicy,
 )
-from repro.sim.tracefile import TraceAddressMap, dump_trace, export_synthetic, load_trace
 from repro.sim.core import CoreModel
 from repro.sim.memctrl import MemoryController
 from repro.sim.simulator import SimulationResult, Simulator, weighted_speedup
@@ -45,10 +44,6 @@ __all__ = [
     "ClosedRowPolicy",
     "TimeCappedPolicy",
     "DecoupledBufferPolicy",
-    "TraceAddressMap",
-    "load_trace",
-    "dump_trace",
-    "export_synthetic",
     "CoreModel",
     "MemoryController",
     "Simulator",

@@ -7,9 +7,11 @@ revision, temperature deltas, BER curves, per-module summaries — are
 indexed reads instead of whole-file replays.  See ``docs/WAREHOUSE.md``.
 
 * :class:`~repro.warehouse.db.Warehouse` — ingest (batch backfill and
-  streaming per-shard), integrity checks, rebuild, ordered row queries.
+  streaming per-shard), per-source stored groups (totals and
+  observations), integrity checks, rebuild, ordered row queries.
 * :mod:`~repro.warehouse.analytics` — the report folds, shared with the
-  pure-JSONL path so answers are byte-equivalent by construction.
+  pure-JSONL path, and the stored-group path that feeds their payload
+  builders, so answers are byte-equivalent by construction.
 """
 
 from repro.warehouse.analytics import (

@@ -7,33 +7,42 @@ aggregation primitives from :mod:`repro.characterization.results`
 (``box_stats``, the ``DieAggregate`` mean/min/max math).  A warehouse
 answer is byte-for-byte the answer a pure-Python fold over the same
 JSONL records computes (``tests/test_warehouse_diff.py`` holds that
-under hand-built and generated record sets), because the work is split
-by what stays exact in any order:
+under hand-built and generated record sets), yet
+:meth:`~repro.warehouse.db.Warehouse.analytics` reads no record row: it
+answers from the groups each source stores when it becomes complete,
+one row per (experiment, module, die, temperature, sweep point)
+(:func:`grouped_report`).  The work is split by what stays exact in any
+order:
 
 * SQLite computes counts, integer sums, minima and maxima.  None of
   them depends on the order rows are visited in, so each source's
-  ``acmin`` totals per (module, die, temperature, t_AggON) are stored
-  in ``record_groups`` when the source becomes complete, and
-  :meth:`~repro.warehouse.db.Warehouse.analytics` answers ``sweep`` and
-  ``temperature`` over ``acmin`` (an INTEGER column, their default
-  experiment) by re-grouping those rows (:func:`grouped_report`): sums
-  of counts and sums, the minimum of minima, the maximum of maxima.  A
-  query reads one row per source and group, not one per record.
+  ``acmin`` totals per group are stored in ``record_groups``, and
+  ``sweep`` and ``temperature`` over ``acmin`` (an INTEGER column,
+  their default experiment) re-group those rows: sums of counts and
+  sums, the minimum of minima, the maximum of maxima.
 * Python computes every float sum, in record order.  Float addition is
   not associative and ``GROUP BY`` feeds ``SUM`` in its sorter's order
   (SQLite 3.43+ also compensates REAL sums, as CPython 3.12's ``sum``
-  does), so the REAL observables (``taggonmin``, ``ber``) and the
-  ``acmin``, ``ber`` and ``modules`` reports fold rows ordered by
-  ``(source key, record_index)`` — the JSONL record order
-  (:func:`run_report`).
-* The grouped path falls back to the row fold when a matching group
-  row is flagged inexact (an ``acmin`` not stored as INTEGER — an
-  ingested non-integral ``acmin`` is stored as REAL — or a source's
-  ``SUM`` past 64 bits) or when the re-grouping ``SUM`` overflows.
+  does).  So each group's present observations and their record
+  indexes are stored as packed arrays in ``group_values``, and the
+  ``acmin``, ``ber`` and ``modules`` reports, and ``sweep`` and
+  ``temperature`` over the REAL observables (``taggonmin``, ``ber``),
+  merge them back into ``(source key, record_index)`` order — the JSONL
+  record order — and fold them with the row fold's own helpers.  Python
+  ``sum``, ``min``, ``max`` and ``box_stats`` then see the same ints and
+  floats in the same order as the row fold, so the answers cannot
+  differ; the ``modules`` report takes ``die_key`` from the group that
+  holds the earliest record.
+* The stored path falls back to the row fold (:func:`run_report`) when
+  a matching group is flagged inexact: an ``acmin`` total over a value
+  not stored as INTEGER (an ingested non-integral ``acmin`` is stored
+  as REAL) or past 64 bits, a group whose observations mix INTEGER and
+  REAL storage, or a ``bitflips`` total that could not be stored.
 
-Both paths reduce a group to the same five numbers — count, observed,
-sum, minimum, maximum — and :func:`_finish` turns them into the summary,
-so each report's shape is written once.
+Both paths reduce a group to the same numbers — count, observed, sum,
+minimum, maximum, or a count and the present observations — and one
+payload builder per report turns them into the answer, so each report's
+shape is written once.
 
 Reports (also the ``GET /v1/analytics/{report}`` catalog, see
 ``docs/WAREHOUSE.md``):
@@ -49,8 +58,11 @@ Reports (also the ``GET /v1/analytics/{report}`` catalog, see
 
 from __future__ import annotations
 
+import itertools
 import math
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
+
+import numpy as np
 
 from repro.characterization.results import box_stats
 
@@ -104,17 +116,22 @@ def _present(values: Iterable[float | None]) -> list[float]:
     ]
 
 
-def _tally(values: list[float | None]) -> tuple:
-    """A group's five totals, folded in record order.
+def _column(values: list[float | None]) -> tuple[int, list[float]]:
+    """A group's record count and present observations, in record order."""
+    return len(values), _present(values)
+
+
+def _tally(count: int, present: list[float]) -> tuple:
+    """A group's five totals from its record count and its present
+    observations, folded in record order.
 
     ``(count, observed, total, minimum, maximum)``: every record, the
     present observations, their sum and extremes (``None`` when nothing
     is present) — the numbers a SQL ``GROUP BY`` returns per group.
     """
-    present = _present(values)
     if not present:
-        return len(values), 0, None, None, None
-    return len(values), len(present), sum(present), min(present), max(present)
+        return count, 0, None, None, None
+    return count, len(present), sum(present), min(present), max(present)
 
 
 def _finish(
@@ -131,13 +148,8 @@ def _finish(
     }
 
 
-def _summary(values: list[float | None]) -> dict:
-    return _finish(*_tally(values))
-
-
-def _box(values: list[float | None]) -> dict | None:
+def _box(present: list[float]) -> dict | None:
     """Box-and-whiskers percentiles (paper footnote 2), or ``None``."""
-    present = _present(values)
     if not present:
         return None
     stats = box_stats(present)
@@ -156,11 +168,18 @@ def fold_acmin_percentiles(rows: Iterable[Mapping]) -> dict:
     groups: dict[str, list[float | None]] = {}
     for row in rows:
         groups.setdefault(row["die_key"], []).append(row["acmin"])
+    return _acmin_payload(
+        {die_key: _column(values) for die_key, values in groups.items()}
+    )
+
+
+def _acmin_payload(columns: Mapping[str, tuple[int, list]]) -> dict:
+    """The ``acmin`` report from per-die ``(count, present)``."""
     dies = {}
-    for die_key in sorted(groups):
-        values = groups[die_key]
-        entry = _summary(values)
-        entry["percentiles"] = _box(values)
+    for die_key in sorted(columns):
+        count, present = columns[die_key]
+        entry = _finish(*_tally(count, present))
+        entry["percentiles"] = _box(present)
         dies[die_key] = entry
     return {"report": "acmin", "experiment": "acmin", "dies": dies}
 
@@ -182,7 +201,8 @@ def fold_temperature_deltas(
             row[field] if field is not None else None
         )
     return _temperature_payload(
-        {key: _tally(values) for key, values in groups.items()}, experiment
+        {key: _tally(*_column(values)) for key, values in groups.items()},
+        experiment,
     )
 
 
@@ -223,34 +243,40 @@ def _temperature_payload(
 
 def fold_ber_curves(rows: Iterable[Mapping]) -> dict:
     """BER vs t_AggON per die: mean BER, bitflip totals, 1->0 fraction."""
-    groups: dict[str, dict[float, list[Mapping]]] = {}
+    groups: dict[tuple[str, float], list[Mapping]] = {}
     for row in rows:
-        by_sweep = groups.setdefault(row["die_key"], {})
-        by_sweep.setdefault(float(row["t_aggon"]), []).append(row)
-    dies = {}
-    for die_key in sorted(groups):
-        curve = []
-        for sweep in sorted(groups[die_key]):
-            bucket = groups[die_key][sweep]
-            bers = [entry["ber"] for entry in bucket]
-            present = _present(bers)
-            bitflips = sum(int(entry["bitflips"]) for entry in bucket)
-            one_to_zero = sum(int(entry["one_to_zero"]) for entry in bucket)
-            curve.append(
-                {
-                    "t_aggon": sweep,
-                    "count": len(bucket),
-                    "mean_ber": (
-                        sum(present) / len(present) if present else None
-                    ),
-                    "max_ber": max(present) if present else None,
-                    "bitflips": bitflips,
-                    "one_to_zero_fraction": (
-                        one_to_zero / bitflips if bitflips else None
-                    ),
-                }
+        key = (row["die_key"], float(row["t_aggon"]))
+        groups.setdefault(key, []).append(row)
+    return _ber_payload(
+        {
+            key: (
+                *_column([entry["ber"] for entry in bucket]),
+                sum(int(entry["bitflips"]) for entry in bucket),
+                sum(int(entry["one_to_zero"]) for entry in bucket),
             )
-        dies[die_key] = curve
+            for key, bucket in groups.items()
+        }
+    )
+
+
+def _ber_payload(curves: Mapping[tuple[str, float], tuple]) -> dict:
+    """The ``ber`` report from per-(die, t_AggON) ``(count, present
+    BERs, bitflips, one_to_zero)``."""
+    dies: dict[str, list[dict]] = {}
+    for die_key, sweep in sorted(curves):
+        count, present, bitflips, one_to_zero = curves[(die_key, sweep)]
+        dies.setdefault(die_key, []).append(
+            {
+                "t_aggon": sweep,
+                "count": count,
+                "mean_ber": sum(present) / len(present) if present else None,
+                "max_ber": max(present) if present else None,
+                "bitflips": bitflips,
+                "one_to_zero_fraction": (
+                    one_to_zero / bitflips if bitflips else None
+                ),
+            }
+        )
     return {"report": "ber", "experiment": "ber", "dies": dies}
 
 
@@ -276,7 +302,8 @@ def fold_sweep_summaries(rows: Iterable[Mapping], experiment: str) -> dict:
             row[field] if field is not None else None
         )
     return _sweep_payload(
-        {key: _tally(values) for key, values in groups.items()}, experiment
+        {key: _tally(*_column(values)) for key, values in groups.items()},
+        experiment,
     )
 
 
@@ -303,15 +330,27 @@ def fold_module_summaries(rows: Iterable[Mapping]) -> dict:
     for row in rows:
         key = (row["module_id"], row["experiment"])
         groups.setdefault(key, []).append(row)
-    modules: dict[str, dict] = {}
-    for module_id, experiment in sorted(groups):
-        bucket = groups[(module_id, experiment)]
+    entries = {}
+    for (module_id, experiment), bucket in groups.items():
         field = observable_field(experiment)
         values = [
             entry[field] if field is not None else None for entry in bucket
         ]
-        entry = _summary(values)
-        entry["die_key"] = bucket[0]["die_key"]
+        entries[(module_id, experiment)] = (
+            *_column(values),
+            bucket[0]["die_key"],
+        )
+    return _modules_payload(entries)
+
+
+def _modules_payload(entries: Mapping[tuple[str, str], tuple]) -> dict:
+    """The ``modules`` report from per-(module, experiment) ``(count,
+    present, die_key of the first record)``."""
+    modules: dict[str, dict] = {}
+    for module_id, experiment in sorted(entries):
+        count, present, die_key = entries[(module_id, experiment)]
+        entry = _finish(*_tally(count, present))
+        entry["die_key"] = die_key
         modules.setdefault(module_id, {})[experiment] = entry
     return {"report": "modules", "modules": modules}
 
@@ -349,33 +388,75 @@ def _selected_experiment(report: str, experiment: str | None) -> str | None:
     return selected
 
 
-def grouped_report(
-    warehouse,
-    report: str,
-    experiment: str | None = None,
-    module_id: str | None = None,
-    die_key: str | None = None,
-) -> dict | None:
-    """``report`` from SQL group totals, or ``None`` for the row fold.
+def _merged(groups: list) -> list:
+    """The present observations of stored groups, in record order.
 
-    Only ``sweep`` and ``temperature`` over an INTEGER observable
-    re-group stored totals
-    (:meth:`~repro.warehouse.db.Warehouse.group_totals`); any
-    other report, a REAL observable, or totals the warehouse declines
-    (a value not stored as INTEGER, a 64-bit ``SUM`` overflow) return
-    ``None``, and the caller folds rows with :func:`run_report`.
+    ``groups`` are :class:`~repro.warehouse.db.StoredGroup` rows in
+    source-key order, as :meth:`~repro.warehouse.db.Warehouse.stored_groups`
+    returns them, so the sources are already in the order the row fold
+    visits them; only a source that holds several of the groups needs
+    their observations interleaved by record index.
     """
-    if report not in ("temperature", "sweep"):
-        return None
-    selected = _selected_experiment(report, experiment)
-    field = observable_field(selected)
-    if field not in _INTEGER_OBSERVABLES:
-        return None
+    merged: list = []
+    for _, parts in itertools.groupby(groups, key=lambda group: group.source):
+        parts = [part for part in parts if len(part.indexes)]
+        if len(parts) == 1:
+            merged.extend(parts[0].observations.tolist())
+        elif parts:
+            merged.extend(_interleaved(parts))
+    return merged
+
+
+def _interleaved(groups: list) -> list:
+    """One source's groups' observations, merged by record index.
+
+    Values keep their Python type — an INTEGER group's ints, a REAL
+    group's floats — also where groups of both kinds meet.
+    """
+    order = np.argsort(np.concatenate([group.indexes for group in groups]))
+    arrays = [group.observations for group in groups]
+    if len({array.dtype for array in arrays}) > 1:
+        arrays = [array.astype(object) for array in arrays]
+    return np.concatenate(arrays)[order].tolist()
+
+
+def _observed(groups: list) -> tuple[int, list]:
+    """Stored groups' record count and present observations."""
+    return sum(group.records for group in groups), _merged(groups)
+
+
+def _buckets(groups: list, key: Callable) -> dict:
+    """Stored groups by report group."""
+    buckets: dict = {}
+    for group in groups:
+        buckets.setdefault(key(group), []).append(group)
+    return buckets
+
+
+def _earliest(groups: list):
+    """The stored group, of groups in source order, that holds the first
+    of their records."""
+    first = groups[0].source
+    return min(
+        (group for group in groups if group.source == first),
+        key=lambda group: group.first_index,
+    )
+
+
+def _group_totals_report(
+    warehouse, report: str, selected: str, module_id, die_key
+) -> dict | None:
+    """``sweep``/``temperature`` over an INTEGER observable from SQL
+    group totals (:meth:`~repro.warehouse.db.Warehouse.group_totals`)."""
     keys: tuple[str, ...] = ("die_key", "temperature_c")
     if report == "sweep":
         keys += (_SWEEP_AXES[selected],)
     rows = warehouse.group_totals(
-        selected, keys, field, module_id=module_id, die_key=die_key
+        selected,
+        keys,
+        observable_field(selected),
+        module_id=module_id,
+        die_key=die_key,
     )
     if rows is None:
         return None
@@ -387,6 +468,95 @@ def grouped_report(
     if report == "sweep":
         return _sweep_payload(tallies, selected)
     return _temperature_payload(tallies, selected)
+
+
+def grouped_report(
+    warehouse,
+    report: str,
+    experiment: str | None = None,
+    module_id: str | None = None,
+    die_key: str | None = None,
+) -> dict | None:
+    """``report`` from the stored groups, or ``None`` for the row fold.
+
+    ``sweep`` and ``temperature`` over an INTEGER observable re-group
+    the SQL group totals; every other report merges the stored
+    observations (:meth:`~repro.warehouse.db.Warehouse.stored_groups`)
+    back into record order and folds them with the row fold's helpers.
+    ``None`` — the caller folds rows with :func:`run_report` — for an
+    unknown report, or when the warehouse declines: totals not stored as
+    INTEGER or past 64 bits, observations of both storage classes in
+    one group, or (``ber``) a bitflip total it could not store.
+    """
+    if report not in REPORTS:
+        return None
+    selected = _selected_experiment(report, experiment)
+    if report in ("temperature", "sweep") and (
+        observable_field(selected) in _INTEGER_OBSERVABLES
+    ):
+        return _group_totals_report(
+            warehouse, report, selected, module_id, die_key
+        )
+    groups = warehouse.stored_groups(
+        selected, module_id=module_id, die_key=die_key
+    )
+    if groups is None:
+        return None
+    if report == "acmin":
+        buckets = _buckets(groups, lambda group: group.die_key)
+        return _acmin_payload(
+            {die: _observed(bucket) for die, bucket in buckets.items()}
+        )
+    if report == "ber":
+        if any(
+            group.bitflips is None or group.one_to_zero is None
+            for group in groups
+        ):
+            return None
+        buckets = _buckets(
+            groups, lambda group: (group.die_key, float(group.sweep_value))
+        )
+        return _ber_payload(
+            {
+                key: (
+                    *_observed(bucket),
+                    sum(group.bitflips for group in bucket),
+                    sum(group.one_to_zero for group in bucket),
+                )
+                for key, bucket in buckets.items()
+            }
+        )
+    if report == "modules":
+        buckets = _buckets(
+            groups, lambda group: (group.module_id, group.experiment)
+        )
+        return _modules_payload(
+            {
+                key: (*_observed(bucket), _earliest(bucket).die_key)
+                for key, bucket in buckets.items()
+            }
+        )
+    if report == "sweep":
+        axis = _SWEEP_AXES.get(selected)
+        buckets = _buckets(
+            groups,
+            lambda group: (
+                group.die_key,
+                float(group.temperature_c),
+                float(group.sweep_value) if axis is not None else 0.0,
+            ),
+        )
+        return _sweep_payload(
+            {key: _tally(*_observed(bucket)) for key, bucket in buckets.items()},
+            selected,
+        )
+    buckets = _buckets(
+        groups, lambda group: (group.die_key, float(group.temperature_c))
+    )
+    return _temperature_payload(
+        {key: _tally(*_observed(bucket)) for key, bucket in buckets.items()},
+        selected,
+    )
 
 
 def run_report(

@@ -11,7 +11,8 @@ Crash-safety contract (exercised by ``tests/test_warehouse_crash.py``):
   only flips it to ``1`` in the final commit, so a kill mid-ingest
   leaves a *detectably torn* source (:meth:`Warehouse.torn_sources`,
   :meth:`Warehouse.verify`) rather than silently partial answers.
-* A source's ``record_groups`` rows are written in the transaction
+* A source's ``record_groups`` and ``group_values`` rows (its group
+  totals and observations) are written in the transaction
   that makes it visible (the final commit of
   :meth:`Warehouse.ingest_records`, :meth:`Warehouse.finalize_source`,
   and any :meth:`Warehouse.ingest_shard` into a complete source, which
@@ -43,7 +44,9 @@ import sqlite3
 import threading
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
+
+import numpy as np
 
 from repro.characterization.campaign import CampaignSpec, loads_results
 from repro.characterization import registry
@@ -113,6 +116,41 @@ _EXACT = {
 #: sums at all: every group of the source is flagged.
 _OVERFLOWED = {"total": "NULL", "inexact": "1"}
 
+#: The record columns a ``group_values`` row is built from: its key
+#: (the first five), then what it stores.
+_VALUE_COLUMNS = (
+    "experiment",
+    "module_id",
+    "die_key",
+    "temperature_c",
+    "sweep_value",
+    "record_index",
+    "acmin",
+    "taggonmin",
+    "ber",
+    "bitflips",
+    "one_to_zero",
+)
+#: One source's records in record order, which the primary key gives
+#: without a sort.
+_SOURCE_RECORDS = (
+    f"SELECT {', '.join(_VALUE_COLUMNS)} FROM records WHERE source_id = ? "
+    "ORDER BY record_index"
+)
+_INDEX, _BITFLIPS, _ONE_TO_ZERO = (
+    _VALUE_COLUMNS.index(name) for name in ("record_index", "bitflips", "one_to_zero")
+)
+
+#: ``group_values.value_type`` -> the dtype its observations are packed as.
+_PACKED = {"integer": "<i8", "real": "<f8"}
+
+_INSERT_VALUES = (
+    "INSERT INTO group_values (source_id, experiment, module_id, die_key, "
+    "temperature_c, sweep_value, records, first_index, bitflips, "
+    "one_to_zero, inexact, value_type, record_indexes, observations) "
+    "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)"
+)
+
 _INSERT_RECORD = (
     "INSERT INTO records (source_id, record_index, experiment, module_id, "
     "die_key, access, temperature_c, t_aggon, t_aggoff, activation_count, "
@@ -157,6 +195,76 @@ def _record_row(
         fields.get("bitflips"),
         fields.get("one_to_zero"),
     )
+
+
+def _int_total(values: Iterable[object]) -> int | None:
+    """``sum(int(value))``, as the ``ber`` row fold adds bitflip counts.
+
+    ``None`` when a value is missing or not a number, or the total does
+    not fit an INTEGER column: the ``ber`` report then folds rows.
+    """
+    try:
+        total = sum(int(value) for value in values)
+    except (TypeError, ValueError):
+        return None
+    return total if -(2**63) <= total < 2**63 else None
+
+
+def _value_row(source_id: int, key: tuple, records: list[tuple]) -> tuple:
+    """One ``group_values`` row from its records, in record order.
+
+    The observations are the group's non-NULL observables (SQLite stores
+    NaN as NULL, so these are what ``analytics._present`` keeps), packed
+    with their record indexes.  A group whose observations are not all
+    INTEGER or all REAL is flagged ``inexact``: one packed array cannot
+    keep both Python types.
+    """
+    observable = sweep_field(key[0])[1]
+    at = _VALUE_COLUMNS.index(observable) if observable is not None else None
+    observed = (
+        [(record[_INDEX], record[at]) for record in records if record[at] is not None]
+        if at is not None
+        else []
+    )
+    types = {type(value) for _, value in observed}
+    inexact = len(types) > 1 or not types <= {int, float}
+    if inexact:
+        observed = []  # never read: the reports fold rows instead
+    value_type = "real" if types == {float} else "integer"
+    return (
+        source_id,
+        *key,
+        len(records),
+        records[0][_INDEX],
+        _int_total(record[_BITFLIPS] for record in records),
+        _int_total(record[_ONE_TO_ZERO] for record in records),
+        int(inexact),
+        value_type,
+        np.array([index for index, _ in observed], dtype="<i8").tobytes(),
+        np.array([value for _, value in observed], dtype=_PACKED[value_type]).tobytes(),
+    )
+
+
+class StoredGroup(NamedTuple):
+    """One complete source's ``group_values`` row, decoded.
+
+    ``source`` is the source's key; ``observations`` are the group's
+    present observations and ``indexes`` their record indexes, both in
+    record order.
+    """
+
+    source: str
+    experiment: str
+    module_id: str
+    die_key: str
+    temperature_c: float | None
+    sweep_value: float | None
+    records: int
+    first_index: int
+    bitflips: int | None
+    one_to_zero: int | None
+    indexes: np.ndarray
+    observations: np.ndarray
 
 
 class Warehouse:
@@ -248,6 +356,10 @@ class Warehouse:
     @cached_property
     def _rows_fetched(self) -> Counter:
         return self.metrics.counter("warehouse.rows_fetched")
+
+    @cached_property
+    def _groups_fetched(self) -> Counter:
+        return self.metrics.counter("warehouse.groups_fetched")
 
     # -- lifecycle -----------------------------------------------------
 
@@ -346,12 +458,26 @@ class Warehouse:
             ).fetchall()
         return [tuple(row) for row in rows]
 
+    def _source_values(self, source_id: int) -> list[tuple]:
+        """One source's ``group_values`` rows from its records."""
+        cursor = self._connection.cursor()
+        cursor.row_factory = None
+        groups: dict[tuple, list[tuple]] = {}
+        for record in cursor.execute(_SOURCE_RECORDS, (source_id,)):
+            groups.setdefault(record[:5], []).append(record)
+        return [
+            _value_row(source_id, key, records) for key, records in groups.items()
+        ]
+
     def _write_groups(self, source_id: int) -> None:
-        """Replace one source's ``record_groups`` rows (the caller commits)."""
-        self._connection.execute(
-            "DELETE FROM record_groups WHERE source_id = ?", (source_id,)
-        )
+        """Replace one source's ``record_groups`` and ``group_values`` rows
+        (the caller commits)."""
+        for table in ("record_groups", "group_values"):
+            self._connection.execute(
+                f"DELETE FROM {table} WHERE source_id = ?", (source_id,)
+            )
         self._source_groups(source_id, insert=True)
+        self._connection.executemany(_INSERT_VALUES, self._source_values(source_id))
 
     def _begin_source(self, key: str, kind: str, spec: CampaignSpec) -> int:
         """Register (or reset) a source row; commits ``complete=0``."""
@@ -570,7 +696,8 @@ class Warehouse:
         """Integrity report: torn sources, count and group-row mismatches.
 
         ``mismatched_groups`` lists the complete sources whose stored
-        group rows differ from the ones their records give; ``repro
+        group rows — ``record_groups`` totals or ``group_values``
+        observations — differ from the ones their records give; ``repro
         warehouse rebuild`` rewrites them.
         """
         report: dict = {
@@ -605,12 +732,18 @@ class Warehouse:
 
     def _groups_match(self, source_id: int) -> bool:
         """Whether a source's stored group rows are those of its records."""
-        stored = self._connection.execute(
-            "SELECT * FROM record_groups WHERE source_id = ?", (source_id,)
-        )
-        return collections.Counter(map(tuple, stored)) == collections.Counter(
-            self._source_groups(source_id)
-        )
+        for table, computed in (
+            ("record_groups", self._source_groups),
+            ("group_values", self._source_values),
+        ):
+            stored = self._connection.execute(
+                f"SELECT * FROM {table} WHERE source_id = ?", (source_id,)
+            )
+            if collections.Counter(map(tuple, stored)) != collections.Counter(
+                computed(source_id)
+            ):
+                return False
+        return True
 
     def rebuild_from_store(self, results_dir: str | Path) -> dict:
         """Drop everything, re-ingest every results JSON in a store dir.
@@ -694,10 +827,12 @@ class Warehouse:
     ) -> dict:
         """Run one named analytics report (timed); see ``analytics.py``.
 
-        ``sweep`` and ``temperature`` over ``acmin`` re-group stored
-        group totals (:func:`~repro.warehouse.analytics.grouped_report`);
-        every other report, and those two when the totals would not be
-        exact, fold rows (:func:`~repro.warehouse.analytics.run_report`).
+        Every report is answered from the stored groups
+        (:func:`~repro.warehouse.analytics.grouped_report`): ``sweep``
+        and ``temperature`` over ``acmin`` re-group their totals, the
+        others merge their observations.  A report whose groups would
+        not give the exact answer folds rows
+        (:func:`~repro.warehouse.analytics.run_report`).
         ``warehouse.queries`` counts each call under the ``path`` that
         answered it.
         """
@@ -739,10 +874,12 @@ class Warehouse:
                 f"selectable: {sorted(_SELECTABLE_COLUMNS)}"
             )
 
-    def _fetch(self, sql: str, params: list[object]) -> list[sqlite3.Row]:
+    def _fetch(
+        self, sql: str, params: list[object], fetched: Counter
+    ) -> list[sqlite3.Row]:
         with self._lock:
             rows = self._connection.execute(sql, params).fetchall()
-        self._rows_fetched.inc(len(rows))
+        fetched.inc(len(rows))
         return rows
 
     def iter_rows(
@@ -775,6 +912,7 @@ class Warehouse:
                 f"JOIN sources s ON s.source_id = r.source_id {where} "
                 "ORDER BY s.key, r.record_index",
                 params,
+                self._rows_fetched,
             )
         )
 
@@ -815,7 +953,7 @@ class Warehouse:
             f"GROUP BY {group}"
         )
         try:
-            rows = self._fetch(sql, params)
+            rows = self._fetch(sql, params, self._groups_fetched)
         except sqlite3.OperationalError as error:
             if "integer overflow" not in str(error):
                 raise
@@ -823,6 +961,42 @@ class Warehouse:
         if any(row[-1] for row in rows):
             return None
         return [tuple(row)[:-1] for row in rows]
+
+    def stored_groups(
+        self,
+        experiment: str | None = None,
+        module_id: str | None = None,
+        die_key: str | None = None,
+    ) -> list[StoredGroup] | None:
+        """Complete sources' ``group_values`` rows, decoded, by source key.
+
+        One statement, filtered like :meth:`iter_rows`.  Within a group
+        the observations are in record order; merging groups by
+        ``(source, index)`` gives the order :meth:`iter_rows` visits
+        them in.  ``None`` — fold the rows instead — when a matching
+        group is flagged ``inexact``.
+        """
+        where, params = self._where(experiment, module_id, die_key)
+        rows = self._fetch(
+            "SELECT s.key, r.experiment, r.module_id, r.die_key, "
+            "r.temperature_c, r.sweep_value, r.records, r.first_index, "
+            "r.bitflips, r.one_to_zero, r.inexact, r.value_type, "
+            "r.record_indexes, r.observations FROM group_values r "
+            f"JOIN sources s ON s.source_id = r.source_id {where} "
+            "ORDER BY s.key",
+            params,
+            self._groups_fetched,
+        )
+        if any(row["inexact"] for row in rows):
+            return None
+        return [
+            StoredGroup(
+                *row[:10],
+                np.frombuffer(row["record_indexes"], dtype="<i8"),
+                np.frombuffer(row["observations"], dtype=_PACKED[row["value_type"]]),
+            )
+            for row in rows
+        ]
 
     def count_records(self) -> int:
         """Every ingested record, torn and streaming sources included."""

@@ -32,7 +32,8 @@ __all__ = [
 #: v2: the ``(experiment, die_key)`` index covers the grouped reports.
 #: v3: per-source group totals in ``record_groups``; the index is
 #: narrow again.
-WAREHOUSE_SCHEMA_VERSION = 3
+#: v4: per-source group observations in ``group_values``.
+WAREHOUSE_SCHEMA_VERSION = 4
 
 #: SQLite page size.  4 KiB matches common filesystem block sizes; the
 #: records table is wide but rows are small, so small pages keep the
@@ -83,7 +84,18 @@ def pragma_statements() -> tuple[str, ...]:
 #: past 64 bits).  They are written by one ``GROUP BY`` over the
 #: source's records in the transaction that makes it complete, and the
 #: grouped ``sweep``/``temperature`` reports re-group them instead of
-#: reading ``records``.
+#: reading ``records``.  ``group_values`` holds, in the same
+#: transaction, each complete source's observations per (experiment,
+#: module, die, temperature, sweep point): the record count, the first
+#: record index, the present observations and their record indexes as
+#: packed little-endian arrays (``value_type`` ``integer``: int64,
+#: ``real``: float64), the ``bitflips``/``one_to_zero`` totals, and an
+#: ``inexact`` flag (observations of both storage classes).  The sweep
+#: point is ``sweep_value``: t_AggON for ``acmin`` (the same groups as
+#: ``record_groups``) and ``ber``, the activation count for
+#: ``taggonmin``.  Every other report reads these rows, not ``records``;
+#: they sit in their own table so that the ``record_groups`` scans stay
+#: narrow.
 SCHEMA_SQL = """
 CREATE TABLE IF NOT EXISTS meta (
     key   TEXT PRIMARY KEY,
@@ -157,4 +169,25 @@ CREATE TABLE IF NOT EXISTS record_groups (
 
 CREATE INDEX IF NOT EXISTS idx_record_groups_source
     ON record_groups (source_id);
+
+CREATE TABLE IF NOT EXISTS group_values (
+    source_id      INTEGER NOT NULL REFERENCES sources(source_id)
+        ON DELETE CASCADE,
+    experiment     TEXT NOT NULL,
+    module_id      TEXT NOT NULL,
+    die_key        TEXT NOT NULL,
+    temperature_c  REAL,
+    sweep_value    REAL,
+    records        INTEGER NOT NULL,
+    first_index    INTEGER NOT NULL,
+    bitflips       INTEGER,
+    one_to_zero    INTEGER,
+    inexact        INTEGER NOT NULL,
+    value_type     TEXT NOT NULL,
+    record_indexes BLOB NOT NULL,
+    observations   BLOB NOT NULL
+);
+
+CREATE INDEX IF NOT EXISTS idx_group_values_source
+    ON group_values (source_id);
 """

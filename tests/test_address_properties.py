@@ -3,7 +3,6 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.system.address import AddressMapping
-from repro.sim.tracefile import TraceAddressMap
 
 
 @given(
@@ -17,24 +16,6 @@ def test_default_system_mapping_bijective(rank, bank, row, column):
     mapping = AddressMapping()
     physical = mapping.physical_address(rank, bank, row % 4096, column)
     assert mapping.dram_address(physical) == (rank, bank, row % 4096, column)
-
-
-@given(
-    column_bits=st.integers(5, 9),
-    bank_bits=st.integers(2, 5),
-    rank_bits=st.integers(0, 2),
-    row=st.integers(0, 10000),
-)
-@settings(max_examples=60)
-def test_trace_mapping_bijective_for_any_split(column_bits, bank_bits, rank_bits, row):
-    mapping = TraceAddressMap(
-        column_bits=column_bits, bank_bits=bank_bits, rank_bits=rank_bits
-    )
-    rank = 0 if rank_bits == 0 else 1
-    bank = (1 << bank_bits) - 1
-    column = (1 << column_bits) - 1
-    physical = mapping.physical_address(rank, bank, row, column)
-    assert mapping.dram_address(physical) == (rank, bank, row, column)
 
 
 @given(st.integers(min_value=0, max_value=(1 << 30) - 64))

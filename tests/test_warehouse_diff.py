@@ -12,8 +12,13 @@ experiment/module/die filters.
 
 The fixed campaigns cover the paper's three experiments plus a die
 that never flips at 50C (H-4Gb-A), so the ``None``-observation path is
-on the oracle's critical line; the ``@prop`` case feeds generated
-record composites straight through ``ingest_records``.
+on the oracle's critical line; they are also ingested in the reverse of
+their key order.  The ``@prop`` cases feed generated record composites
+straight through ``ingest_records``, and generated sources whose
+records cycle through modules, temperatures and sweep points one record
+at a time, with observables of mixed magnitudes: the warehouse stores
+each group's observations apart and must merge them back into record
+order, or a float sum comes out different.
 """
 
 from __future__ import annotations
@@ -28,8 +33,13 @@ from repro.characterization.campaign import (
     dumps_results,
     run_campaign,
 )
-from repro.characterization.results import box_stats
-from repro.testkit.gen import experiment_records, lists, sampled_from
+from repro.characterization.results import (
+    AcminRecord,
+    BerRecord,
+    TaggonminRecord,
+    box_stats,
+)
+from repro.testkit.gen import experiment_records, lists, sampled_from, tuples
 from repro.testkit.harness import prop
 from repro.warehouse import REPORTS, Warehouse
 
@@ -193,6 +203,32 @@ def expected_modules(records):
     return {"report": "modules", "modules": modules}
 
 
+def expected_report(report, docs, experiment=None, filters=None):
+    """The JSONL fold of one report, as ``Warehouse.analytics`` takes it."""
+    filters = filters or {}
+    rows = jsonl_records(
+        docs,
+        experiment=experiment,
+        module=filters.get("module_id"),
+        die=filters.get("die_key"),
+    )
+    if report == "acmin":
+        return expected_acmin(rows)
+    if report == "ber":
+        return expected_ber(rows)
+    if report == "temperature":
+        return expected_temperature(rows, experiment)
+    if report == "sweep":
+        return expected_sweep(rows, experiment)
+    return expected_modules(rows)
+
+
+def report_experiments(report):
+    """The experiments a report is asked about: every one where it takes
+    an ``experiment``, else the one it is fixed to (``None``: all)."""
+    return EXPERIMENTS if report in ("sweep", "temperature") else (REPORTS[report],)
+
+
 def canon(payload):
     return json.dumps(payload, sort_keys=True)
 
@@ -217,22 +253,28 @@ def _spec(name, experiment, **kwargs):
 
 
 @pytest.fixture(scope="module")
-def corpus():
-    """``(docs, warehouse)``: four campaigns, ingested and as JSONL."""
+def corpus_docs():
+    """Five campaigns as JSONL: two per experiment for ACmin and BER."""
     specs = {
         "a-acmin-50c": _spec("diff-acmin-50", "acmin", temperature_c=50.0),
         "b-acmin-80c": _spec("diff-acmin-80", "acmin", temperature_c=80.0),
         "c-taggonmin": _spec("diff-taggonmin", "taggonmin", seed=42),
         "d-ber": _spec("diff-ber", "ber", seed=43),
+        "e-ber-80c": _spec("diff-ber-80", "ber", seed=44, temperature_c=80.0),
     }
-    docs = {
+    return {
         key: dumps_results(spec, run_campaign(spec))
         for key, spec in specs.items()
     }
+
+
+@pytest.fixture(scope="module")
+def corpus(corpus_docs):
+    """``(docs, warehouse)``: the campaigns, ingested and as JSONL."""
     warehouse = Warehouse(":memory:")
-    for key, text in docs.items():
+    for key, text in corpus_docs.items():
         warehouse.ingest_results_text(text, key=key)
-    yield docs, warehouse
+    yield corpus_docs, warehouse
     warehouse.close()
 
 
@@ -298,6 +340,33 @@ def test_none_observations_survive_the_round_trip(corpus):
     assert entry["observed"] < entry["count"]
 
 
+def test_sources_ingested_against_their_key_order_fold_identically(corpus_docs):
+    # Source ids ascend in ingest order; answers follow source keys.
+    with Warehouse(":memory:") as warehouse:
+        for key in sorted(corpus_docs, reverse=True):
+            warehouse.ingest_results_text(corpus_docs[key], key=key)
+        for filters in (
+            {},
+            {"module_id": "S3"},
+            {"module_id": "H4"},
+            {"die_key": "S-8Gb-B"},
+            {"die_key": "H-4Gb-A"},
+        ):
+            for report in REPORTS:
+                for experiment in report_experiments(report):
+                    got = warehouse.analytics(
+                        report, experiment=experiment, **filters
+                    )
+                    expected = expected_report(
+                        report, corpus_docs, experiment, filters
+                    )
+                    assert canon(got) == canon(expected), (
+                        report,
+                        experiment,
+                        filters,
+                    )
+
+
 def test_every_catalog_report_is_covered_here():
     """A new report must be added to this differential suite to ship."""
     assert sorted(REPORTS) == ["acmin", "ber", "modules", "sweep", "temperature"]
@@ -340,3 +409,80 @@ def test_generated_records_fold_identically(batch):
         assert canon(warehouse.analytics("modules")) == canon(
             expected_modules(jsonl_records(docs))
         )
+
+
+# ----------------------------------------------------------------------
+# generative case: sources whose groups interleave record by record
+# ----------------------------------------------------------------------
+
+#: Observables of mixed magnitudes: added in another order, their float
+#: sums differ (1e16 + 1.5 + 3.25 is 1e16 + 6, 1.5 + 3.25 + 1e16 is
+#: 1e16 + 4).
+MIXED = (1e16, 1.5, 3.25, 0.1, 7e-9, 12_345.678, None)
+INTERLEAVED_MODULES = (("S3", "S-8Gb-B"), ("H4", "H-4Gb-A"))
+
+
+def interleaved_record(experiment, index, value):
+    """Record ``index`` of a source that cycles through two modules, two
+    temperatures and three sweep points, one record at a time."""
+    module_id, die_key = INTERLEAVED_MODULES[index % 2]
+    temperature = (50.0, 80.0)[index // 2 % 2]
+    sweep = (36.0, 7800.0, 70_200.0)[index % 3]
+    if experiment == "acmin":
+        acmin = None if value is None else int(value * 8) + 1
+        return AcminRecord(
+            module_id, die_key, "single", temperature, sweep, index, acmin
+        )
+    if experiment == "taggonmin":
+        return TaggonminRecord(
+            module_id, die_key, temperature, int(sweep), index, value
+        )
+    return BerRecord(
+        module_id,
+        die_key,
+        "single",
+        temperature,
+        sweep,
+        14.5,
+        index,
+        0.0 if value is None else value,
+        index % 5,
+        index % 3,
+    )
+
+
+@prop(
+    max_examples=20,
+    case=tuples(
+        sampled_from(EXPERIMENTS),
+        lists(lists(sampled_from(MIXED), min_size=1, max_size=14), min_size=2, max_size=3),
+    ),
+)
+def test_interleaved_groups_merge_back_into_record_order(case):
+    experiment, sources = case
+    docs = {}
+    with Warehouse(":memory:", batch_size=4) as warehouse:
+        # Keys sort in the reverse of the ingest order.
+        for number, values in enumerate(sources):
+            key = f"src-{len(sources) - number}"
+            spec = CampaignSpec(
+                name=key, module_ids=("S3",), experiment=experiment, seed=7
+            )
+            records = [
+                interleaved_record(experiment, index, value)
+                for index, value in enumerate(values)
+            ]
+            docs[key] = dumps_results(spec, records)
+            warehouse.ingest_results_text(docs[key], key=key)
+        for filters in ({}, {"module_id": "H4"}, {"die_key": "S-8Gb-B"}):
+            for report in REPORTS:
+                for selected in report_experiments(report):
+                    got = warehouse.analytics(
+                        report, experiment=selected, **filters
+                    )
+                    expected = expected_report(report, docs, selected, filters)
+                    assert canon(got) == canon(expected), (
+                        report,
+                        selected,
+                        filters,
+                    )

@@ -1,13 +1,16 @@
-"""The grouped ``sweep``/``temperature`` path against the row fold.
+"""The stored-group paths against the row fold.
 
 ``Warehouse.analytics`` answers ``sweep`` and ``temperature`` over
 ``acmin`` by re-grouping ``record_groups`` (count, observed, sum,
 minimum, maximum per source and group, written when a source becomes
-complete) instead of folding every row.  These tests hold that path to
-the row fold (``run_report`` over the same warehouse's ``iter_rows``)
-and to the independent JSONL fold of ``tests/test_warehouse_diff.py``:
+complete), and every other report by merging the observations stored
+in ``group_values`` back into record order, instead of folding every
+row.  These tests hold those paths to the row fold (``run_report`` over
+the same warehouse's ``iter_rows``) and to the independent JSONL fold
+of ``tests/test_warehouse_diff.py``:
 
-* unfiltered, per module and per die, with ``None`` observations;
+* unfiltered, per module and per die, with ``None`` observations, and
+  without reading a single ``records`` row;
 * the two fallbacks — a non-integral ``acmin`` (stored as REAL) and
   ``acmin`` values whose sum passes 2^63 — which must take the row fold
   and still equal the JSONL fold;
@@ -16,8 +19,8 @@ and to the independent JSONL fold of ``tests/test_warehouse_diff.py``:
   group rewrite per catch-up, and a crash mid catch-up that changes
   nothing), a backfill re-ingested under the same key, and a crash at
   the commit that would make a source complete;
-* ``verify`` recomputing the group rows, and a v2 file refused before
-  the group table is built into it;
+* ``verify`` recomputing the group rows and stored observations, and
+  v2 and v3 files refused before the newer tables are built into them;
 * generated multi-source warehouses whose source keys sort differently
   from their ingest order, next to a streaming source that is never
   finalized (so it stays invisible), under module and die filters.
@@ -45,13 +48,14 @@ from repro.testkit.harness import prop
 from repro.warehouse import REPORTS, Warehouse, WarehouseError, run_report
 from tests.test_warehouse_diff import (
     EXPERIMENTS,
+    MIXED,
     canon,
-    expected_acmin,
-    expected_ber,
-    expected_modules,
+    expected_report,
     expected_sweep,
     expected_temperature,
+    interleaved_record,
     jsonl_records,
+    report_experiments,
 )
 
 GROUPED = ("sweep", "temperature")
@@ -147,15 +151,19 @@ def test_corpus_holds_missing_observations(acmin_corpus):
     )
 
 
+def _fetched(warehouse: Warehouse, what: str) -> int:
+    return warehouse.metrics.value(f"warehouse.{what}_fetched") or 0
+
+
 def test_grouped_rows_fetched_are_groups_not_records(acmin_corpus):
     _, warehouse = acmin_corpus
-    before = warehouse.metrics.value("warehouse.rows_fetched")
+    rows, groups = _fetched(warehouse, "rows"), _fetched(warehouse, "groups")
     answer = warehouse.analytics("sweep")
-    groups = sum(len(s) for temps in answer["dies"].values() for s in temps.values())
-    assert warehouse.metrics.value("warehouse.rows_fetched") - before == groups
-    before = warehouse.metrics.value("warehouse.rows_fetched")
+    points = sum(len(s) for temps in answer["dies"].values() for s in temps.values())
+    assert _fetched(warehouse, "groups") - groups == points
+    assert _fetched(warehouse, "rows") == rows
     run_report(warehouse, "sweep")
-    assert warehouse.metrics.value("warehouse.rows_fetched") - before == 420
+    assert _fetched(warehouse, "rows") - rows == 420
 
 
 def test_instruments_are_looked_up_once_each_on_first_use(monkeypatch):
@@ -176,11 +184,13 @@ def test_instruments_are_looked_up_once_each_on_first_use(monkeypatch):
             warehouse.ingest_records(_spec(key), _acmin_records(index, 20), key=key)
             warehouse.analytics("sweep")
             warehouse.analytics("acmin")
+            run_report(warehouse, "acmin")
     assert len(lookups) == len(set(lookups)) == 7
-    assert _queries(warehouse, "grouped") == _queries(warehouse, "rows") == 3
+    assert _queries(warehouse, "grouped") == 6
     assert registry.value("warehouse.ingests") == 3
     assert registry.value("warehouse.records_ingested") == 60
-    assert registry.value("warehouse.rows_fetched") > 0
+    assert registry.value("warehouse.rows_fetched") == 60 + 40 + 20
+    assert registry.value("warehouse.groups_fetched") > 0
 
 
 def _fallback_case(records: list[dict]) -> tuple[dict, Warehouse]:
@@ -241,6 +251,32 @@ def test_inexact_totals_fall_back_to_the_row_fold(records):
             assert canon(answer) == canon(expected), report
 
 
+@pytest.mark.parametrize(
+    "records, path",
+    [
+        # INTEGER and REAL acmin values in separate groups, interleaved
+        # record by record: merged without turning the ints into floats.
+        (
+            [_raw(10**16), _raw(1.5, 65.0), _raw(7), _raw(2.25, 65.0), _raw(None)],
+            "grouped",
+        ),
+        # Both storage classes in one group: one packed array cannot keep
+        # them, so the observations are flagged and the rows folded.
+        ([_raw(10**16), _raw(1.5), _raw(7), _raw(None, 65.0)], "rows"),
+    ],
+    ids=["across-groups", "within-a-group"],
+)
+def test_observations_of_both_storage_classes(records, path):
+    docs, warehouse = _fallback_case(records)
+    with warehouse:
+        for report in ("acmin", "modules"):
+            before = _queries(warehouse, path)
+            answer = warehouse.analytics(report)
+            assert _queries(warehouse, path) == before + 1
+            expected = expected_report(report, docs, REPORTS[report])
+            assert canon(answer) == canon(expected), report
+
+
 def test_integer_totals_take_the_grouped_path():
     docs, warehouse = _fallback_case([_raw(2**62), _raw(2**61), _raw(None)])
     with warehouse:
@@ -250,18 +286,37 @@ def test_integer_totals_take_the_grouped_path():
         assert canon(answer) == canon(expected_sweep(rows, "acmin"))
 
 
-def test_real_observables_stay_on_the_row_fold(acmin_corpus):
-    _, warehouse = acmin_corpus
-    for report, experiment in (
-        ("sweep", "taggonmin"),
-        ("temperature", "ber"),
-        ("acmin", None),
-        ("ber", None),
-        ("modules", None),
-    ):
-        before = _queries(warehouse, "rows")
-        warehouse.analytics(report, experiment=experiment)
-        assert _queries(warehouse, "rows") == before + 1, report
+@pytest.fixture(scope="module")
+def mixed_corpus(acmin_corpus):
+    """``(docs, warehouse)``: the ACmin sources plus REAL-observable ones
+    (t_AggONmin and BER) whose groups interleave record by record."""
+    acmin_docs, _ = acmin_corpus
+    rng = random.Random(4)
+    docs = dict(acmin_docs)
+    for key, experiment in (("d-ber", "ber"), ("c-taggonmin", "taggonmin")):
+        records = [
+            interleaved_record(experiment, index, rng.choice(MIXED))
+            for index in range(60)
+        ]
+        docs[key] = dumps_results(_spec(key, experiment), records)
+    with Warehouse(":memory:", batch_size=50) as warehouse:
+        for key, text in docs.items():
+            warehouse.ingest_results_text(text, key=key)
+        yield docs, warehouse
+
+
+def test_every_report_reads_no_records_rows(mixed_corpus):
+    docs, warehouse = mixed_corpus
+    for report in REPORTS:
+        for experiment in report_experiments(report):
+            for filters in _filters():
+                rows, grouped = _fetched(warehouse, "rows"), _queries(warehouse, "grouped")
+                answer = warehouse.analytics(report, experiment=experiment, **filters)
+                assert _fetched(warehouse, "rows") == rows, (report, experiment, filters)
+                assert _queries(warehouse, "grouped") == grouped + 1
+                expected = expected_report(report, docs, experiment, filters)
+                assert canon(answer) == canon(expected), (report, experiment, filters)
+    assert _queries(warehouse, "rows") == 0
 
 
 def test_a_file_without_the_covering_index_asks_for_a_rebuild(tmp_path):
@@ -316,9 +371,32 @@ def test_a_v2_file_is_refused_before_the_group_table_is_built(tmp_path):
     assert "record_groups" not in tables
 
 
+def test_a_v3_file_is_refused_before_the_value_table_is_built(tmp_path):
+    path = tmp_path / "v3.sqlite3"
+    Warehouse(path).close()
+    # Turn it into a v3 file: no stored observations.
+    connection = sqlite3.connect(path)
+    connection.executescript(
+        "DROP TABLE group_values;"
+        "UPDATE meta SET value = '3' WHERE key = 'schema_version';"
+    )
+    connection.close()
+    with pytest.raises(WarehouseError, match="repro warehouse rebuild"):
+        Warehouse(path)
+    connection = sqlite3.connect(path)
+    tables = {
+        row[0]
+        for row in connection.execute(
+            "SELECT name FROM sqlite_master WHERE type = 'table'"
+        )
+    }
+    connection.close()
+    assert "group_values" not in tables and "record_groups" in tables
+
+
 def _assert_grouped_answers(warehouse: Warehouse, docs: dict) -> None:
-    """Grouped ``sweep``/``temperature`` == the row fold == the JSONL fold."""
-    for report in GROUPED:
+    """Every report from stored groups == the row fold == the JSONL fold."""
+    for report in REPORTS:
         for filters in _filters():
             grouped_before = _queries(warehouse, "grouped")
             answer = warehouse.analytics(report, **filters)
@@ -326,7 +404,8 @@ def _assert_grouped_answers(warehouse: Warehouse, docs: dict) -> None:
             assert json.dumps(answer) == json.dumps(
                 run_report(warehouse, report, **filters)
             ), (report, filters)
-            expected = _expected(report, docs, "acmin", filters)
+            experiment = "acmin" if report in GROUPED else REPORTS[report]
+            expected = expected_report(report, docs, experiment, filters)
             assert canon(answer) == canon(expected), (report, filters)
 
 
@@ -436,9 +515,13 @@ def test_reingesting_a_key_regroups_only_its_new_records():
 
 
 def _group_rows(path) -> int:
+    """Stored group rows: ``record_groups`` and ``group_values`` together."""
     connection = sqlite3.connect(path)
     try:
-        return connection.execute("SELECT COUNT(*) FROM record_groups").fetchone()[0]
+        return sum(
+            connection.execute(f"SELECT COUNT(*) FROM {table}").fetchone()[0]
+            for table in ("record_groups", "group_values")
+        )
     finally:
         connection.close()
 
@@ -465,6 +548,12 @@ _A_ROW = (
     "(SELECT MIN(g.rowid) FROM record_groups g JOIN sources s"
     " USING (source_id) WHERE s.key = 'a-acmin' AND g.acmin_max IS NOT NULL)"
 )
+#: One ``group_values`` row of source ``a-acmin`` with two observations.
+_A_VALUES = (
+    "(SELECT MIN(g.rowid) FROM group_values g JOIN sources s"
+    " USING (source_id) WHERE s.key = 'a-acmin'"
+    " AND length(g.observations) >= 16)"
+)
 
 
 @pytest.mark.parametrize(
@@ -474,8 +563,15 @@ _A_ROW = (
         f"DELETE FROM record_groups WHERE rowid = {_A_ROW}",
         "INSERT INTO record_groups SELECT * FROM record_groups"
         f" WHERE rowid = {_A_ROW}",
+        # Swap the first two packed observations: the same count, sum,
+        # minimum and maximum, in another order (``||`` yields TEXT).
+        "UPDATE group_values SET observations = CAST(substr(observations, 9, 8)"
+        " || substr(observations, 1, 8) || substr(observations, 17) AS BLOB)"
+        f" WHERE rowid = {_A_VALUES}",
+        "UPDATE group_values SET record_indexes ="
+        f" zeroblob(length(record_indexes)) WHERE rowid = {_A_VALUES}",
     ],
-    ids=["altered", "missing", "duplicated"],
+    ids=["altered", "missing", "duplicated", "values-reordered", "indexes-zeroed"],
 )
 def test_verify_finds_altered_group_rows_and_rebuild_repairs_them(
     tmp_path, capsys, tamper
@@ -519,24 +615,6 @@ _BATCH = sampled_from(EXPERIMENTS).bind(
 )
 
 
-def _expected(report, docs, experiment, filters):
-    rows = jsonl_records(
-        docs,
-        experiment=experiment,
-        module=filters.get("module_id"),
-        die=filters.get("die_key"),
-    )
-    if report == "acmin":
-        return expected_acmin(rows)
-    if report == "ber":
-        return expected_ber(rows)
-    if report == "temperature":
-        return expected_temperature(rows, experiment)
-    if report == "sweep":
-        return expected_sweep(rows, experiment)
-    return expected_modules(rows)
-
-
 @prop(max_examples=15, case=tuples(lists(_BATCH, min_size=2, max_size=4), _BATCH))
 def test_generated_sources_fold_identically(case):
     batches, (open_experiment, open_records) = case
@@ -564,14 +642,11 @@ def test_generated_sources_fold_identically(case):
         last = batches[-1][1][0]
         for filters in ({}, {"module_id": last.module_id}, {"die_key": first.die_key}):
             for report in REPORTS:
-                experiments = (
-                    EXPERIMENTS if report in GROUPED else (REPORTS[report],)
-                )
-                for experiment in experiments:
+                for experiment in report_experiments(report):
                     got = warehouse.analytics(
                         report, experiment=experiment, **filters
                     )
-                    expected = _expected(report, docs, experiment, filters)
+                    expected = expected_report(report, docs, experiment, filters)
                     assert canon(got) == canon(expected), (report, experiment, filters)
         assert warehouse.count_records() == sum(
             len(records) for _, records in batches
