@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro import units
-from repro.dram.device import Bitflip, DramDevice
+from repro.dram.device import Bitflip, DoseTwin, DramDevice, PlanStep, ProbePlan
 from repro.dram.geometry import RowAddress
 from repro.bender.loops import LoopSummary, summarize_steady_loop
 from repro.bender.program import Act, FillRow, Instruction, Loop, Pre, Program, ReadRow, Wait
@@ -120,6 +120,8 @@ _READ_COST = READ_COST
 
 #: Loop iterations executed literally before switching to the bulk path.
 _WARMUP_ITERATIONS = 2
+#: Loops of at most this many iterations run literally, warm-up and all.
+LITERAL_LOOP_MAX = _WARMUP_ITERATIONS + 2
 
 
 class _FlushInstruments:
@@ -202,6 +204,77 @@ class ProgramExecutor:
             start_time=start_time,
             verify=verify,
             summaries=payload.summaries,
+        )
+
+    def plan_payload(self, template: Payload) -> ProbePlan | None:
+        """Replay ``template``'s count-independent prefix; plan its bulk probes.
+
+        The device must be a fresh :class:`repro.dram.device.DoseTwin`.
+        The prefix is everything before the first top-level loop (the
+        one :meth:`Payload.with_loop_count` patches by default) plus
+        that loop's warm-up iterations, run here as one ordinary
+        program.  The plan answers :meth:`execute_payload` of
+        ``template.with_loop_count(n)`` on a fresh twin for every ``n``
+        above :data:`LITERAL_LOOP_MAX`.  None when the template has no
+        such loop, its body is not summarizable, or a loop follows it;
+        errors the prefix raises are the walk's own.
+        """
+        if not isinstance(self.device, DoseTwin):
+            raise TypeError("probe plans replay on a dose twin")
+        instructions = template.program.instructions
+        position = next(
+            (i for i, instruction in enumerate(instructions) if isinstance(instruction, Loop)),
+            None,
+        )
+        if position is None:
+            return None
+        loop = instructions[position]
+        summary = template.summaries.get(id(loop))
+        if not loop.is_steady or summary is None:
+            return None
+        suffix = instructions[position + 1 :]
+        steps: list[PlanStep] = []
+        touched = {(episode.address.rank, episode.address.bank) for episode in summary.episodes}
+        for instruction in suffix:
+            if isinstance(instruction, Wait):
+                steps.append(("wait", instruction.duration))
+            elif isinstance(instruction, Act):
+                steps.append(("act", instruction.address))
+                touched.add((instruction.address.rank, instruction.address.bank))
+            elif isinstance(instruction, Pre):
+                steps.append(("pre", (instruction.rank, instruction.bank)))
+                touched.add((instruction.rank, instruction.bank))
+            elif isinstance(instruction, FillRow):
+                steps.append(("fill", instruction.address, instruction.byte_value))
+                steps.append(("wait", _FILL_COST))
+            elif isinstance(instruction, ReadRow):
+                steps.append(("read", instruction.address))
+                steps.append(("wait", _READ_COST))
+            else:
+                return None
+        prefix = Program(list(instructions[:position]) + [Loop(_WARMUP_ITERATIONS, loop.body)])
+        start = self.interpret(prefix).end_time
+        banks = {}
+        for rank, bank in touched:
+            state = self._bank(rank, bank)
+            banks[(rank, bank)] = (state.last_act, state.last_pre)
+        return ProbePlan(
+            self.device,
+            warmup=_WARMUP_ITERATIONS,
+            start=start,
+            period=summary.period,
+            episodes=[
+                (episode.address, episode.t_on, episode.t_off, episode.pre_offset)
+                for episode in summary.episodes
+            ],
+            banks=banks,
+            steps=steps,
+            check_timing=self.check_timing,
+            duration=(
+                Program(list(instructions[:position])).duration(),
+                Program(list(loop.body)).duration(),
+                tuple(i.duration for i in suffix if isinstance(i, Wait)),
+            ),
         )
 
     def _execute(
@@ -343,7 +416,7 @@ class ProgramExecutor:
 
     def _run_loop(self, loop: Loop, time_ns: float, result: ExecutionResult) -> float:
         body = list(loop.body)
-        if not loop.is_steady or loop.count <= _WARMUP_ITERATIONS + 2:
+        if not loop.is_steady or loop.count <= LITERAL_LOOP_MAX:
             result.loop_iterations += loop.count
             for _ in range(loop.count):
                 time_ns = self._run_block(body, time_ns, result)

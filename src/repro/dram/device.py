@@ -22,12 +22,15 @@ issuer (:mod:`repro.bender.executor` and :mod:`repro.sim.dram_model`).
 :class:`DoseTwin` is a dose-only twin of a device: it keeps the same
 doses but no row data, and only decides whether a sense would flip any
 cell.  Search probes replay their payloads on it (docs/MODEL.md §4).
+A :class:`ProbePlan` keeps a twin's state after a payload's
+count-independent prefix and answers the payload's bulk probes by dose
+arithmetic alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -586,13 +589,357 @@ class DoseTwin(DramDevice):
         exposure = self._restore_on_sense(key, time_ns)
         if exposure is None:
             return False
-        hammer_dose, press_dose, unrefreshed, scale = exposure
-        hammer, press, retention = self.population.summary(*key).eligible_minima(byte)
-        if (
-            (hammer_dose > 0.0 and hammer <= hammer_dose)
-            or (press_dose > 0.0 and press <= press_dose)
-            or retention * scale <= unrefreshed
-        ):
+        if _exposure_flips(self.population, key, byte, *exposure):
             self._uniform_byte.pop(key)  # the flip changed the row's content
             return True
         return False
+
+
+def _exposure_flips(
+    population: CellPopulation,
+    key: RowKey,
+    byte: int,
+    hammer_dose: float,
+    press_dose: float,
+    unrefreshed: float,
+    scale: float,
+) -> bool:
+    """Whether a row filled with ``byte`` flips a cell under an exposure."""
+    hammer, press, retention = population.summary(*key).eligible_minima(byte)
+    return (
+        (hammer_dose > 0.0 and hammer <= hammer_dose)
+        or (press_dose > 0.0 and press <= press_dose)
+        or retention * scale <= unrefreshed
+    )
+
+
+#: One step after a plan's bulk loop, in the executor's order:
+#: ``("wait", ns)``, ``("act", address)``, ``("pre", (rank, bank))``,
+#: ``("fill", address, byte)`` or ``("read", address)``.  Fills and
+#: reads are followed by the executor's cost as a wait.
+PlanStep = tuple
+
+
+class ProbePlan:
+    """The bulk probes of one payload template, answered by dose arithmetic.
+
+    A search probes one compiled template at many loop counts.  Past
+    the executor's warm-up iterations those probes differ only in how
+    many iterations the bulk deposit applies and in the times that
+    follow from it; the fills, the warm-up ACT/PRE, their timing checks
+    and every fill byte come out the same.  A plan is built from a
+    :class:`DoseTwin` that has replayed that count-independent prefix
+    through the ordinary executor, and keeps the twin's state there.
+    :meth:`flips` answers a probe by redoing, on a copy of that state,
+    what the executor's bulk path and the steps after the loop do to
+    the twin: the same :meth:`DisturbanceModel.loop_doses` terms added
+    in the same order (``deposit_episodes`` → ``_flush_pending`` /
+    ``_deposit``), the same sequential time sums, and the same sense
+    verdicts (``_restore_on_sense`` → ``_flips_on_sense``).  No payload,
+    program, executor or twin is built per probe.
+
+    :meth:`flips` raises :class:`ReplayInexact` wherever the walk would
+    not end in a twin verdict: a row of unknown content, an ACT or PRE
+    the executor's timing checks reject, an ACT to an open bank.  The
+    caller then walks the probe.  A plan is valid while the bench it
+    came from keeps its temperature: for one search.
+    """
+
+    def __init__(
+        self,
+        twin: DoseTwin,
+        *,
+        warmup: int,
+        start: float,
+        period: float,
+        episodes: Sequence[tuple[RowAddress, float, float, float]],
+        banks: dict[tuple[int, int], tuple[float, float]],
+        steps: Sequence[PlanStep],
+        check_timing: bool,
+        duration: tuple[float, float, tuple[float, ...]],
+    ) -> None:
+        """Plan from ``twin`` as the prefix left it at ``start``.
+
+        ``episodes`` are the bulk loop's ``(address, t_on, t_off,
+        pre_offset)`` and ``period`` its iteration time, ``warmup`` the
+        iterations the prefix ran literally, ``banks`` the executor's
+        ``(last ACT, last PRE)`` per bank the loop or ``steps`` touch,
+        and ``duration`` the payload's ``(wait time before the loop,
+        one iteration's wait time, each later wait)``.  Raises
+        :class:`ReplayInexact` when every bulk probe's walk would meet
+        a row of unknown content or a row or bank out of range.
+        """
+        self.twin = twin
+        self.warmup = warmup
+        self.temperature = twin.config.temperature_c
+        self.scale = retention_model.retention_scale(self.temperature)
+        self.retention_floor = twin._RETENTION_FLOOR_NS * self.scale
+        self.loop_doses = twin.disturb.loop_doses
+        self.population = twin.population
+        self.neighbor_distance = twin.config.neighbor_distance
+        self._start = start
+        self._period = period
+        self._targets: dict[RowKey, tuple[tuple[RowKey, int, RowKey | None], ...]] = {}
+        # Per bulk episode: the warm-up episode its deposit flushes, and
+        # each target's fill pattern and one-episode doses alone and
+        # sandwiched.  The bulk meets the same fill bytes at every count.
+        self._pending = dict(twin._pending)
+        bulk = []
+        for address, t_on, t_off, pre_offset in episodes:
+            key = twin._key(address)
+            aggressor_byte = twin._fill_byte(key)
+            targets = []
+            for victim, distance, other in self._targets_of(key):
+                pattern = classify_fill_pair(aggressor_byte, twin._fill_byte(victim))
+                doses = [
+                    twin.disturb.episode_doses(
+                        t_on, t_off, self.temperature, pattern, distance, sandwiched
+                    )
+                    for sandwiched in ((False, True) if other is not None else (False,))
+                ]
+                targets.append((victim, distance, other, pattern, *doses))
+            warm = self._pending.pop(key, None)
+            if warm is not None:
+                t_on_warm = warm.pre_time - warm.act_time
+                warm = (t_on_warm, warm.pre_time, twin._sandwich_window(t_on_warm))
+            bulk.append(
+                (key, pre_offset, warm, twin._sandwich_window(t_on), tuple(targets))
+            )
+        self._bulk = tuple(bulk)
+        self._bulk_banks = frozenset((key[0], key[1]) for key, *_ in bulk)
+        self._banks = banks
+        self._open_rows = {
+            bank: ((*bank, state.open_row), state.act_time)
+            for bank, state in twin._banks.items()
+            if state.open_row is not None
+        }
+        plan_steps: list[PlanStep] = []
+        for step in steps:
+            if step[0] in ("act", "fill", "read"):
+                if not twin.geometry.valid_row(step[1]):
+                    raise ReplayInexact(f"row address out of range: {step[1]}")
+                step = (step[0], twin._key(step[1]), *step[2:])
+            elif step[0] == "pre" and step[1] not in twin._banks:
+                raise ReplayInexact(f"no bank {step[1]}")
+            plan_steps.append(step)
+        self._steps = tuple(plan_steps)
+        self._commands = any(step[0] in ("act", "pre") for step in plan_steps)
+        self._check_timing = check_timing
+        self._duration = duration
+
+    def duration_ns(self, loop_count: int) -> float:
+        """The payload's duration at ``loop_count``, summed as ``Program.duration``."""
+        head, body, tail = self._duration
+        total = head + loop_count * body
+        for wait in tail:
+            total += wait
+        return total
+
+    def _targets_of(self, aggressor: RowKey) -> tuple[tuple[RowKey, int, RowKey | None], ...]:
+        """``(victim, distance, sandwiching row)`` in ``_deposit``'s order."""
+        targets = self._targets.get(aggressor)
+        if targets is None:
+            twin = self.twin
+            rank, bank, row = aggressor
+            found = []
+            for distance in range(1, twin.config.neighbor_distance + 1):
+                if (
+                    HAMMER_DISTANCE_FACTOR.get(distance, 0.0) == 0.0
+                    and PRESS_DISTANCE_FACTOR.get(distance, 0.0) == 0.0
+                ):
+                    continue
+                for direction in (-1, 1):
+                    victim = row + direction * distance
+                    if not 0 <= victim < twin.geometry.rows_per_bank:
+                        continue
+                    other = (rank, bank, victim + direction) if distance == 1 else None
+                    found.append(((rank, bank, victim), distance, other))
+            targets = self._targets[aggressor] = tuple(found)
+        return targets
+
+    def flips(self, loop_count: int) -> bool:
+        """Whether the payload at ``loop_count`` flips a bit it reads.
+
+        ``loop_count`` must exceed :attr:`warmup` by more than two, so
+        the executor runs it in bulk; the answer equals the twin walk's
+        :attr:`DoseTwin.read_flipped`.
+        """
+        remaining = loop_count - self.warmup
+        period = self._period
+        state = _ProbeState(self)
+        hammer_dose, press_dose, last_end = state.hammer, state.press, state.last_end
+        loop_doses, temperature = self.loop_doses, self.temperature
+        base = self._start + (remaining - 1) * period
+        for key, pre_offset, warm, window, targets in self._bulk:
+            # DramDevice.deposit_episodes: flush the warm-up episode, then
+            # _deposit the bulk, with the fill patterns and doses planned.
+            end_time = base + pre_offset
+            if warm is not None:
+                t_on, pre_time, warm_window = warm
+                t_off = max(end_time - pre_time, 0.0)
+                for victim, distance, other, pattern, *_ in targets:
+                    sandwiched = False
+                    if other is not None:
+                        last = last_end.get(other)
+                        sandwiched = last is not None and pre_time - last <= warm_window
+                    hammer, press = loop_doses(
+                        t_on, t_off, temperature, pattern, distance, sandwiched, 1
+                    )
+                    if hammer:
+                        hammer_dose[victim] = hammer_dose.get(victim, 0.0) + hammer
+                    if press:
+                        press_dose[victim] = press_dose.get(victim, 0.0) + press
+                last_end[key] = pre_time
+            hammer_dose.pop(key, None)
+            press_dose.pop(key, None)
+            state.restore[key] = end_time
+            for victim, _, other, _, alone, *sandwiched in targets:
+                doses = alone
+                if other is not None:
+                    last = last_end.get(other)
+                    if last is not None and end_time - last <= window:
+                        doses = sandwiched[0]
+                hammer = doses[0] * remaining
+                press = doses[1] * remaining
+                if hammer:
+                    hammer_dose[victim] = hammer_dose.get(victim, 0.0) + hammer
+                if press:
+                    press_dose[victim] = press_dose.get(victim, 0.0) + press
+            last_end[key] = end_time
+        time_ns = self._start + remaining * period
+        banks: dict[tuple[int, int], list[float]] = {}
+        open_rows: dict[tuple[int, int], tuple[RowKey, float]] = {}
+        if self._commands:
+            shift = remaining * period
+            banks = {
+                bank: [last_act + shift, last_pre + shift]
+                if bank in self._bulk_banks
+                else [last_act, last_pre]
+                for bank, (last_act, last_pre) in self._banks.items()
+            }
+            open_rows.update(self._open_rows)
+        timing = self.twin.timing
+        flipped = False
+        for step in self._steps:
+            op = step[0]
+            if op == "wait":
+                time_ns = time_ns + step[1]
+            elif op == "read":
+                if state.pending:
+                    state.flush_pending(step[1], time_ns)
+                if state.sense(step[1], time_ns):
+                    flipped = True
+            elif op == "act":
+                key = step[1]
+                bank = banks[key[:2]]
+                if self._check_timing and (
+                    time_ns - bank[1] < timing.tRP - 1e-9
+                    or time_ns - bank[0] < timing.tRC - 1e-9
+                ):
+                    raise ReplayInexact(f"ACT of row {key} fails the executor's timing check")
+                if key[:2] in open_rows:
+                    raise ReplayInexact(f"ACT of row {key} to an open bank")
+                state.flush_pending(key, time_ns)
+                state.sense(key, time_ns)
+                open_rows[key[:2]] = (key, time_ns)
+                bank[0] = time_ns
+            elif op == "pre":
+                bank = banks[step[1]]
+                if self._check_timing and time_ns - bank[0] < timing.tRAS - 1e-9:
+                    raise ReplayInexact(f"PRE of bank {step[1]} fails the executor's timing check")
+                opened = open_rows.pop(step[1], None)
+                if opened is not None:
+                    state.pending[opened[0]] = _Episode(act_time=opened[1], pre_time=time_ns)
+                bank[1] = time_ns
+            else:  # "fill"
+                state.written(step[1], step[2], time_ns)
+        return flipped
+
+
+class _ProbeState:
+    """One probe's copy of a plan's prefix state, and the twin's bookkeeping on it.
+
+    Each method does what the :class:`DoseTwin` method it names does to
+    the twin's dictionaries.
+    """
+
+    __slots__ = ("plan", "hammer", "press", "pending", "last_end", "restore", "known")
+
+    def __init__(self, plan: ProbePlan) -> None:
+        twin = plan.twin
+        self.plan = plan
+        self.hammer = dict(twin._hammer_dose)
+        self.press = dict(twin._press_dose)
+        self.pending = dict(plan._pending)
+        self.last_end = dict(twin._last_episode_end)
+        self.restore = dict(twin._last_restore)
+        self.known = dict(twin._uniform_byte)
+
+    def byte(self, key: RowKey) -> int:
+        """``DoseTwin._fill_byte``."""
+        byte = self.known.get(key)
+        if byte is None:
+            raise ReplayInexact(f"row {key}: not filled by the payload, or its content changed")
+        return byte
+
+    def flush_pending(self, key: RowKey, now: float) -> None:
+        """``DramDevice._flush_pending``."""
+        episode = self.pending.pop(key, None)
+        if episode is not None:
+            t_on = episode.pre_time - episode.act_time
+            t_off = max(now - episode.pre_time, 0.0)
+            self.deposit(key, t_on, t_off, episode.pre_time, 1)
+
+    def deposit(
+        self, aggressor: RowKey, t_on: float, t_off: float, end_time: float, count: int
+    ) -> None:
+        """``DramDevice._deposit``."""
+        plan = self.plan
+        aggressor_byte = self.byte(aggressor)
+        window = plan.twin._sandwich_window(t_on)
+        hammer_dose, press_dose, last_end = self.hammer, self.press, self.last_end
+        for victim, distance, other in plan._targets_of(aggressor):
+            sandwiched = False
+            if other is not None:
+                last = last_end.get(other)
+                sandwiched = last is not None and end_time - last <= window
+            pattern = classify_fill_pair(aggressor_byte, self.byte(victim))
+            hammer, press = plan.loop_doses(
+                t_on, t_off, plan.temperature, pattern, distance, sandwiched, count
+            )
+            if hammer:
+                hammer_dose[victim] = hammer_dose.get(victim, 0.0) + hammer
+            if press:
+                press_dose[victim] = press_dose.get(victim, 0.0) + press
+        last_end[aggressor] = end_time
+
+    def sense(self, key: RowKey, now: float) -> bool:
+        """``DoseTwin._flips_on_sense`` (with ``_restore_on_sense``)."""
+        plan = self.plan
+        byte = self.byte(key)
+        if self.pending:  # _flush_neighborhood
+            rank, bank, row = key
+            for distance in range(1, plan.neighbor_distance + 1):
+                for neighbor in (row - distance, row + distance):
+                    if (rank, bank, neighbor) in self.pending:
+                        self.flush_pending((rank, bank, neighbor), now)
+        hammer_dose = self.hammer.pop(key, 0.0)
+        press_dose = self.press.pop(key, 0.0)
+        unrefreshed = now - self.restore.get(key, plan.twin._start_time)
+        self.restore[key] = now
+        if hammer_dose == 0.0 and press_dose == 0.0 and unrefreshed < plan.retention_floor:
+            return False
+        if _exposure_flips(
+            plan.population, key, byte, hammer_dose, press_dose, unrefreshed, plan.scale
+        ):
+            self.known.pop(key)
+            return True
+        return False
+
+    def written(self, key: RowKey, byte: int, now: float) -> None:
+        """``DramDevice._written`` (a fill)."""
+        self.known[key] = byte
+        self.hammer.pop(key, None)
+        self.press.pop(key, None)
+        self.pending.pop(key, None)
+        self.restore[key] = now

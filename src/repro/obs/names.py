@@ -50,6 +50,7 @@ METRIC_NAMES: frozenset[str] = frozenset(
         "acmin.probes",
         "acmin.sites_with_flips",
         "acmin.device_probes",
+        "acmin.plan_probes",
         "taggonmin.searches",
         "taggonmin.probes",
         "taggonmin.sites_with_flips",

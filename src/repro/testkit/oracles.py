@@ -5,9 +5,9 @@ Each oracle states a relationship the reproduction must satisfy for
 accumulate with activation count, RowPress worsens with temperature
 while RowHammer eases (§5.2), the static program verifier agrees with
 the timing-checked executor, compiled-payload execution is bit-identical
-to interpretation, a search probe answered by the dose-only replay
-agrees with the device walk, sharded engine output equals sequential
-output, and results survive serialization round-trips.
+to interpretation, a search probe answered by the dose-only replay or a
+probe plan agrees with the device walk, sharded engine output equals
+sequential output, and results survive serialization round-trips.
 
 Every oracle ships with a deliberately planted **model mutation** (a
 context manager that temporarily breaks the production code in a
@@ -492,7 +492,7 @@ def _mutate_patch_keeps_old_count() -> Iterator[None]:
 
 
 # ----------------------------------------------------------------------
-# 6. replayed search probe == device walk
+# 6. replayed or planned search probe == device walk
 # ----------------------------------------------------------------------
 
 
@@ -526,19 +526,22 @@ def _check_probe_equivalence(
     data,
     temperature_c: float,
 ) -> None:
-    """A probe the dose-only replay answers is answered as the device would.
+    """A probe the replay or a probe plan answers is answered as the device would.
 
     Checks the drawn activation count, then bisects the count to the
-    flip boundary, where a wrong threshold shows first, checking every
-    probe.  The replay side runs the payload the ACmin searcher would
-    (:func:`repro.characterization.acmin.probe_payload`, a cached
-    template with its count patched); the reference is the device walk
-    (``fresh_experiment()`` + ``execute()``) of a freshly compiled
-    program on a bench of its own, so a bad patch shows as well as a
-    bad replay.  Probes the replay hands to the device are not compared.
+    flip boundary, where a wrong threshold or dose shows first, checking
+    every probe twice: as the dose-only replay of the payload the ACmin
+    searcher would build (:func:`repro.characterization.acmin.probe_payload`,
+    a cached template with its count patched), and as the searcher asks
+    it, from the bisection's probe plans
+    (``TestingInfrastructure.probe_bitflip``).  The reference is the
+    device walk (``fresh_experiment()`` + ``execute()``) of a freshly
+    compiled program on a bench of its own, so a bad patch shows as
+    well as a bad replay or plan.  Probes handed to the device are not
+    compared.
     """
     from repro.bender.isa import compile_program
-    from repro.characterization.acmin import probe_payload
+    from repro.characterization.acmin import probe_template
     from repro.characterization.patterns import (
         AccessPattern,
         ExperimentConfig,
@@ -551,21 +554,31 @@ def _check_probe_equivalence(
     site = RowSite(rank=0, bank=0, row=row)
     bench = _probe_bench(module_id, temperature_c)
     device = _probe_bench(module_id, temperature_c)
+    plans: dict = {}
 
     def probe(count: int) -> bool:
+        template, loops = probe_template(site, t_aggon, count, config)
         executes = bench.log.programs_run
-        answer = bench.any_bitflip(probe_payload(site, t_aggon, count, config))
-        if bench.log.programs_run == executes:  # the replay answered
+        answer = bench.any_bitflip(template.with_loop_count(loops))
+        answers = {"replay": answer} if bench.log.programs_run == executes else {}
+        executes, planned = bench.log.programs_run, bench.log.plan_probes
+        plan_answer = bench.probe_bitflip(template, loops, plans)
+        if bench.log.plan_probes > planned:
+            answers["plan"] = plan_answer
+        elif bench.log.programs_run == executes:
+            answers["replay"] = plan_answer
+        if answers:
             program, _ = build_disturb_program(site, t_aggon, count, config)
             payload = compile_program(program, config.timing)
             device.fresh_experiment()
             walked = len(device.execute(payload).bitflips) > 0
-            assert answer == walked, (
-                f"replay says {'a' if answer else 'no'} bitflip, the device "
-                f"{'a' if walked else 'no'} bitflip: {module_id} row {row}, "
-                f"{access}-sided {data.value}, {temperature_c:.1f}C, "
-                f"t_AggON {t_aggon:.1f}ns x {count}"
-            )
+            for path, said in answers.items():
+                assert said == walked, (
+                    f"{path} says {'a' if said else 'no'} bitflip, the device "
+                    f"{'a' if walked else 'no'} bitflip: {module_id} row {row}, "
+                    f"{access}-sided {data.value}, {temperature_c:.1f}C, "
+                    f"t_AggON {t_aggon:.1f}ns x {count}"
+                )
         return answer
 
     acmax = max_activations(t_aggon, config)
@@ -594,6 +607,27 @@ def _mutate_ineligible_minima() -> Iterator[None]:
         yield
     finally:
         cells._eligible_minima = original
+
+
+@contextlib.contextmanager
+def _mutate_plan_drops_warmup_flush() -> Iterator[None]:
+    """Bug: a probe plan's bulk forgets the warm-up episode it flushes."""
+    from repro.dram.device import ProbePlan
+
+    original = ProbePlan.__init__
+
+    def mutated(self, *args, **kwargs) -> None:
+        original(self, *args, **kwargs)
+        self._bulk = tuple(
+            (key, pre_offset, None, window, targets)
+            for key, pre_offset, _, window, targets in self._bulk
+        )
+
+    ProbePlan.__init__ = mutated
+    try:
+        yield
+    finally:
+        ProbePlan.__init__ = original
 
 
 # ----------------------------------------------------------------------
@@ -765,7 +799,7 @@ ORACLES: dict[str, Oracle] = {
         ),
         Oracle(
             name="probe-equivalence",
-            title="replayed search probe == device walk",
+            title="replayed or planned search probe == device walk",
             gens={
                 "module_id": _module_ids(),
                 "row": _ROW_GEN,
@@ -780,6 +814,10 @@ ORACLES: dict[str, Oracle] = {
                 (
                     "replay minima taken over ineligible cells too",
                     _mutate_ineligible_minima,
+                ),
+                (
+                    "probe plan drops the warm-up episode's flush term",
+                    _mutate_plan_drops_warmup_flush,
                 ),
             ),
             max_examples=25,

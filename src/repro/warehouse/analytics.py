@@ -4,7 +4,7 @@ Every report is a fold over record mappings — plain dicts (as a JSONL
 fold produces via ``dataclasses.asdict``) or ``sqlite3.Row`` objects (as
 :meth:`repro.warehouse.db.Warehouse.iter_rows` yields) — using the
 aggregation primitives from :mod:`repro.characterization.results`
-(``box_stats``, the ``DieAggregate`` mean/min/max math).  A warehouse
+(``sorted_box_stats``, the ``DieAggregate`` mean/min/max math).  A warehouse
 answer is byte-for-byte the answer a pure-Python fold over the same
 JSONL records computes (``tests/test_warehouse_diff.py`` holds that
 under hand-built and generated record sets), yet
@@ -29,10 +29,12 @@ order:
   ``temperature`` over the REAL observables (``taggonmin``, ``ber``),
   merge them back into ``(source key, record_index)`` order — the JSONL
   record order — and fold them with the row fold's own helpers.  Python
-  ``sum``, ``min``, ``max`` and ``box_stats`` then see the same ints and
-  floats in the same order as the row fold, so the answers cannot
-  differ; the ``modules`` report takes ``die_key`` from the group that
-  holds the earliest record.
+  ``sum``, ``min`` and ``max`` then see the same ints and floats in the
+  same order as the row fold, so the answers cannot differ; the
+  ``modules`` report takes ``die_key`` from the group that holds the
+  earliest record.  The ``acmin`` percentiles need the observations
+  sorted, not merged: a stable numpy sort of the stored arrays gives
+  ``sorted_box_stats`` the floats the row fold's ``sorted`` gives it.
 * The stored path falls back to the row fold (:func:`run_report`) when
   a matching group is flagged inexact: an ``acmin`` total over a value
   not stored as INTEGER (an ingested non-integral ``acmin`` is stored
@@ -64,7 +66,7 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from repro.characterization.results import box_stats
+from repro.characterization.results import sorted_box_stats
 
 __all__ = [
     "REPORTS",
@@ -148,11 +150,12 @@ def _finish(
     }
 
 
-def _box(present: list[float]) -> dict | None:
-    """Box-and-whiskers percentiles (paper footnote 2), or ``None``."""
-    if not present:
+def _box(ascending: list[float]) -> dict | None:
+    """Box-and-whiskers percentiles (paper footnote 2) of floats in
+    ascending order, or ``None``."""
+    if not ascending:
         return None
-    stats = box_stats(present)
+    stats = sorted_box_stats(ascending)
     return {
         "minimum": stats.minimum,
         "first_quartile": stats.first_quartile,
@@ -168,18 +171,21 @@ def fold_acmin_percentiles(rows: Iterable[Mapping]) -> dict:
     groups: dict[str, list[float | None]] = {}
     for row in rows:
         groups.setdefault(row["die_key"], []).append(row["acmin"])
-    return _acmin_payload(
-        {die_key: _column(values) for die_key, values in groups.items()}
-    )
+    columns = {}
+    for die_key, values in groups.items():
+        count, present = _column(values)
+        columns[die_key] = (count, present, sorted(float(v) for v in present))
+    return _acmin_payload(columns)
 
 
-def _acmin_payload(columns: Mapping[str, tuple[int, list]]) -> dict:
-    """The ``acmin`` report from per-die ``(count, present)``."""
+def _acmin_payload(columns: Mapping[str, tuple[int, list, list[float]]]) -> dict:
+    """The ``acmin`` report from per-die ``(count, present, present as
+    ascending floats)``."""
     dies = {}
     for die_key in sorted(columns):
-        count, present = columns[die_key]
+        count, present, ascending = columns[die_key]
         entry = _finish(*_tally(count, present))
-        entry["percentiles"] = _box(present)
+        entry["percentiles"] = _box(ascending)
         dies[die_key] = entry
     return {"report": "acmin", "experiment": "acmin", "dies": dies}
 
@@ -425,6 +431,16 @@ def _observed(groups: list) -> tuple[int, list]:
     return sum(group.records for group in groups), _merged(groups)
 
 
+def _ascending(groups: list) -> list[float]:
+    """Stored groups' present observations as floats in ascending order.
+
+    A stable numpy sort gives the floats ``sorted(float(v) for v in
+    _merged(groups))`` gives, in the same order, without the merge.
+    """
+    values = np.concatenate([group.observations for group in groups])
+    return np.sort(values, kind="stable").astype(np.float64).tolist()
+
+
 def _buckets(groups: list, key: Callable) -> dict:
     """Stored groups by report group."""
     buckets: dict = {}
@@ -505,7 +521,10 @@ def grouped_report(
     if report == "acmin":
         buckets = _buckets(groups, lambda group: group.die_key)
         return _acmin_payload(
-            {die: _observed(bucket) for die, bucket in buckets.items()}
+            {
+                die: (*_observed(bucket), _ascending(bucket))
+                for die, bucket in buckets.items()
+            }
         )
     if report == "ber":
         if any(

@@ -1,15 +1,7 @@
-"""Reverse engineering: row layout (§3.2) and DRAMA mapping (§6.1)."""
-
-import pytest
+"""Reverse engineering: row layout (§3.2)."""
 
 from repro.characterization.layout import adjacency_map, infer_scramble, probe_neighbors
 from repro.dram.catalog import build_module
-from repro.system.drama import (
-    measure_pair_latency,
-    recover_bank_masks,
-    same_bank_sets,
-)
-from repro.system.machine import build_demo_system
 
 from tests.conftest import full_width_geometry
 
@@ -45,56 +37,3 @@ def test_infer_scramble_none_when_invulnerable():
     # M-8Gb-B: no press bitflips and hammer ACmin far above the probe
     # budget -> nothing flips -> no inference possible.
     assert infer_scramble(module) is None
-
-
-# ---------------------------------------------------------------- DRAMA
-
-
-@pytest.fixture(scope="module")
-def drama_system():
-    return build_demo_system(rows_per_bank=512)
-
-
-def test_conflict_latency_is_visible(drama_system):
-    system = drama_system
-    same_bank = [system.row_pointer(0, 3, 40, 0), system.row_pointer(0, 3, 90, 0)]
-    other_bank = [system.row_pointer(0, 3, 40, 0), system.row_pointer(0, 7, 90, 0)]
-    conflict = measure_pair_latency(system, *same_bank)
-    parallel = measure_pair_latency(system, *other_bank)
-    assert conflict > parallel
-
-
-def test_same_bank_sets_group_correctly(drama_system):
-    system = drama_system
-    offsets = []
-    expected = {}
-    for bank in (1, 5):
-        for row in (30, 60, 90):
-            offset = system.row_pointer(0, bank, row, 0)
-            offsets.append(offset)
-            expected[offset] = bank
-    groups = same_bank_sets(system, offsets)
-    for group in groups:
-        banks = {expected[offset] for offset in group}
-        assert len(banks) == 1  # no cross-bank contamination
-
-
-def test_recover_bank_masks_match_mapping(drama_system):
-    system = drama_system
-    mapping = system.mapping
-    offsets = []
-    for bank in range(8):
-        for row in (25, 50, 75, 100):
-            offsets.append(system.row_pointer(0, bank, row, 0))
-    groups = same_bank_sets(system, offsets)
-    masks = recover_bank_masks(groups)
-    assert masks, "expected at least one recovered XOR function"
-    # every recovered mask must be a genuine bank-constant function of
-    # the true mapping: same bank -> same parity.
-    for mask in masks:
-        for bank in range(8):
-            parities = {
-                bin(system.row_pointer(0, bank, row, 0) & mask).count("1") & 1
-                for row in (25, 50, 75, 100)
-            }
-            assert len(parities) == 1

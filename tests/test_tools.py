@@ -131,10 +131,19 @@ def test_bench_trajectory_skips_cross_mode_comparison(tmp_path):
     assert "comparison skipped" in result.stdout
 
 
+def _trajectory_points() -> list[tuple[int, Path]]:
+    """Committed ``tools/bench_trajectory.py`` points, in PR order."""
+    return sorted(
+        (int(path.stem.split("_")[1]), path)
+        for path in ROOT.glob("BENCH_*.json")
+        if "benchmarks" in json.loads(path.read_text())
+    )
+
+
 def test_committed_trajectory_point_has_full_coverage():
-    payloads = sorted(ROOT.glob("BENCH_*.json"))
+    payloads = _trajectory_points()
     assert payloads, "expected at least one committed BENCH_<pr>.json"
-    latest = json.loads(payloads[-1].read_text())
+    latest = json.loads(payloads[-1][1].read_text())
     assert latest["mode"] == "full"
     assert len(latest["benchmarks"]) >= 3
     names = {entry["name"] for entry in latest["benchmarks"]}

@@ -538,12 +538,25 @@ BENCHMARKS = {
 # ----------------------------------------------------------------------
 
 
+def is_trajectory_point(path: Path) -> bool:
+    """Whether ``path`` is one of this harness's points.
+
+    ``tools/bench_summary.py`` writes perfbench summaries under the same
+    ``BENCH_<n>.json`` names; they carry ``"schema"``, not
+    ``"benchmarks"``, and this harness cannot compare against them.
+    """
+    try:
+        return "benchmarks" in json.loads(path.read_text())
+    except (OSError, ValueError):
+        return False
+
+
 def discover_baseline(pr: int) -> Path | None:
-    """The highest-numbered ``BENCH_<n>.json`` with ``n < pr``, if any."""
+    """The highest-numbered trajectory point ``BENCH_<n>.json`` with ``n < pr``, if any."""
     candidates: list[tuple[int, Path]] = []
     for path in ROOT.glob("BENCH_*.json"):
         match = _BASELINE_RE.match(path.name)
-        if match and int(match.group(1)) < pr:
+        if match and int(match.group(1)) < pr and is_trajectory_point(path):
             candidates.append((int(match.group(1)), path))
     return max(candidates)[1] if candidates else None
 
