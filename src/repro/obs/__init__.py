@@ -197,6 +197,7 @@ STANDARD_COUNTERS: tuple[tuple[str, dict[str, str]], ...] = (
     ("engine.retries", {}),
     ("engine.shard_failures", {}),
     ("service.requests", {}),
+    ("service.connections", {}),
     ("service.cache_hits", {}),
     ("service.jobs_submitted", {}),
     ("service.jobs_completed", {}),

@@ -72,6 +72,7 @@ METRIC_NAMES: frozenset[str] = frozenset(
         "attack.bitflips",
         # service
         "service.requests",
+        "service.connections",
         "service.requests_by_route",
         "service.request_seconds",
         "service.rate_limited",

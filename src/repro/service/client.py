@@ -1,12 +1,16 @@
 """Blocking client for the campaign service (stdlib ``http.client``).
 
-The client speaks the JSON API in :mod:`repro.service.server` and folds
-the service's explicit backpressure into a polite retry loop: ``429``
-and ``503`` responses carry ``Retry-After`` and the client sleeps
-exactly that long before retrying; connection errors (server not up
-yet, restart mid-conversation) back off exponentially with a
-deterministic schedule (no jitter — the repo bans nondeterministic
-randomness outside seeded experiments).
+The client speaks the JSON API in :mod:`repro.service.server` over one
+persistent HTTP/1.1 connection per calling thread, and folds the
+service's explicit backpressure into a polite retry loop: ``429`` and
+``503`` responses carry ``Retry-After`` and the client sleeps exactly
+that long before retrying; connection errors (server not up yet)
+back off exponentially with a deterministic schedule (no jitter — the
+repo bans nondeterministic randomness outside seeded experiments).  A
+kept connection that the server closed while it sat idle (a restart or
+a drain) is reopened and the request sent again at once, once, before
+any backoff applies; one answered with ``Connection: close`` is dropped
+at once and the thread's next call opens a new one.
 
 Typical use::
 
@@ -23,8 +27,10 @@ submitted campaign's results are byte-identical to a local
 
 from __future__ import annotations
 
+import contextlib
 import http.client
 import json
+import threading
 import time
 from dataclasses import dataclass
 from typing import Iterator
@@ -74,8 +80,16 @@ class JobStatus:
         )
 
 
+def _payload(raw: bytes) -> dict:
+    """A JSON reply body as a dict; a non-JSON body as ``{"error": text}``."""
+    try:
+        return json.loads(raw.decode("utf-8")) if raw else {}
+    except ValueError:
+        return {"error": raw.decode("utf-8", "replace")}
+
+
 class ServiceClient:
-    """Typed blocking client with retry, backoff, and Retry-After honor."""
+    """Typed blocking client: a kept connection per thread, retries, Retry-After."""
 
     def __init__(
         self,
@@ -101,6 +115,23 @@ class ServiceClient:
         #: server's spans (and any submitted job's engine trace) parent
         #: under the client-side call site.
         self.tracer: Tracer | NullTracer = tracer if tracer is not None else NullTracer()
+        self._lock = threading.Lock()
+        #: Each calling thread's kept connection (``_request``), so a
+        #: driver's slot threads and its heartbeat thread never share one.
+        self._kept: dict[threading.Thread, http.client.HTTPConnection] = {}
+        #: Connections of the event and dashboard streams still open.
+        self._streams: set[http.client.HTTPConnection] = set()
+
+    def close(self) -> None:
+        """Close every connection this client opened, streams included.
+
+        The client stays usable: a thread's next call opens a new one.
+        """
+        with self._lock:
+            connections = [*self._kept.values(), *self._streams]
+            self._kept.clear()
+        for connection in connections:
+            connection.close()
 
     # -- transport -----------------------------------------------------
 
@@ -113,15 +144,68 @@ class ServiceClient:
             headers[TRACE_HEADER] = context.to_header()
         return headers
 
-    def _connect(self, wait_s: float = 0.0) -> http.client.HTTPConnection:
-        return http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout_s + wait_s
-        )
+    def _connect(self) -> http.client.HTTPConnection:
+        return http.client.HTTPConnection(self.host, self.port, timeout=self.timeout_s)
+
+    def _kept_connection(self) -> http.client.HTTPConnection:
+        """The calling thread's kept connection; ended threads' are closed."""
+        thread = threading.current_thread()
+        with self._lock:
+            connection = self._kept.get(thread)
+            if connection is None:
+                for ended in [t for t in self._kept if not t.is_alive()]:
+                    self._kept.pop(ended).close()
+                connection = self._kept[thread] = self._connect()
+        return connection
+
+    @contextlib.contextmanager
+    def _stream_connection(self) -> Iterator[http.client.HTTPConnection]:
+        """A connection of its own for one stream, closed when it ends."""
+        connection = self._connect()
+        with self._lock:
+            self._streams.add(connection)
+        try:
+            yield connection
+        finally:
+            connection.close()
+            with self._lock:
+                self._streams.discard(connection)
+
+    def _exchange(
+        self, method: str, path: str, body: str | None, wait_s: float
+    ) -> tuple[http.client.HTTPResponse, bytes]:
+        """Send one request on this thread's connection; the reply and its body.
+
+        ``http.client`` reconnects a closed connection by itself.  A
+        kept one that fails before any reply (the server closed it while
+        it sat idle) is reopened and the request re-sent once, at once;
+        any other error propagates.  ``wait_s`` extends the socket
+        timeout of this request only.
+        """
+        connection = self._kept_connection()
+        connection.timeout = self.timeout_s + wait_s
+        reused = connection.sock is not None
+        if reused:
+            connection.sock.settimeout(connection.timeout)
+        try:
+            try:
+                connection.request(method, path, body=body, headers=self._headers())
+                response = connection.getresponse()
+            except ConnectionError:
+                if not reused:
+                    raise
+                connection.close()
+                connection.request(method, path, body=body, headers=self._headers())
+                response = connection.getresponse()
+            return response, response.read()
+        except BaseException:
+            connection.close()  # never leave a half-done exchange on it
+            raise
 
     def _request(
         self, method: str, path: str, body: str | None = None, wait_s: float = 0.0
-    ) -> tuple[int, dict]:
-        """One JSON request with retries; returns ``(status, payload)``.
+    ) -> bytes:
+        """One request with retries; returns the 2xx reply's body.
 
         Retries connection errors with deterministic exponential backoff
         (``backoff_s * 2**attempt``) and honors ``Retry-After`` on 429
@@ -132,34 +216,9 @@ class ServiceClient:
         """
         last_error: Exception | None = None
         for attempt in range(self.retries + 1):
-            connection = self._connect(wait_s)
             try:
-                connection.request(
-                    method, path, body=body, headers=self._headers()
-                )
-                response = connection.getresponse()
-                raw = response.read()
-                if response.status in (429, 503) and attempt < self.retries:
-                    retry_after = float(response.getheader("Retry-After", "1") or "1")
-                    logger.info(
-                        "%s %s -> %d; retrying in %.2fs",
-                        method,
-                        path,
-                        response.status,
-                        retry_after,
-                    )
-                    time.sleep(retry_after)
-                    continue
-                try:
-                    payload = json.loads(raw.decode("utf-8")) if raw else {}
-                except ValueError:
-                    payload = {"error": raw.decode("utf-8", "replace")}
-                if response.status >= 400:
-                    raise ServiceError(
-                        response.status, str(payload.get("error", payload))
-                    )
-                return response.status, payload
-            except (ConnectionError, OSError, http.client.HTTPException) as error:
+                response, raw = self._exchange(method, path, body, wait_s)
+            except (OSError, http.client.HTTPException) as error:
                 last_error = error
                 if attempt >= self.retries:
                     break
@@ -168,28 +227,44 @@ class ServiceClient:
                     "%s %s failed (%s); retrying in %.2fs", method, path, error, delay
                 )
                 time.sleep(delay)
-            finally:
-                connection.close()
+                continue
+            if response.status in (429, 503) and attempt < self.retries:
+                retry_after = float(response.getheader("Retry-After", "1") or "1")
+                logger.info(
+                    "%s %s -> %d; retrying in %.2fs",
+                    method,
+                    path,
+                    response.status,
+                    retry_after,
+                )
+                time.sleep(retry_after)
+                continue
+            if response.status >= 400:
+                payload = _payload(raw)
+                raise ServiceError(
+                    response.status, str(payload.get("error", payload))
+                )
+            return raw
         raise ServiceError(0, f"cannot reach service at {self.host}:{self.port}: {last_error}")
 
     # -- API -----------------------------------------------------------
 
     def submit(self, spec: CampaignSpec) -> JobStatus:
         """Submit a campaign spec; dedups and cache hits are transparent."""
-        _status, payload = self._request(
-            "POST", "/v1/campaigns", body=spec.to_json()
+        return JobStatus.from_payload(
+            _payload(self._request("POST", "/v1/campaigns", body=spec.to_json()))
         )
-        return JobStatus.from_payload(payload)
 
     def list_jobs(self) -> list[JobStatus]:
         """Every job the service knows, oldest submission first."""
-        _status, payload = self._request("GET", "/v1/campaigns")
+        payload = _payload(self._request("GET", "/v1/campaigns"))
         return [JobStatus.from_payload(job) for job in payload.get("jobs", [])]
 
     def status(self, job_id: str) -> JobStatus:
         """Current status of one job."""
-        _status, payload = self._request("GET", f"/v1/campaigns/{job_id}")
-        return JobStatus.from_payload(payload)
+        return JobStatus.from_payload(
+            _payload(self._request("GET", f"/v1/campaigns/{job_id}"))
+        )
 
     def wait(
         self,
@@ -200,7 +275,8 @@ class ServiceClient:
         """Poll until the job is ``done`` or ``failed``.
 
         Polling (rather than holding an event stream open) survives
-        service restarts mid-job — each poll reconnects.  Raises
+        service restarts mid-job: a poll whose kept connection the
+        restart closed reopens it at once.  Raises
         :class:`TimeoutError` if ``timeout_s`` elapses first.
         """
         deadline = None if timeout_s is None else time.monotonic() + timeout_s
@@ -221,8 +297,7 @@ class ServiceClient:
         ``readline`` is one JSON event.  The stream replays history
         first, then follows live progress.
         """
-        connection = self._connect()
-        try:
+        with self._stream_connection() as connection:
             connection.request(
                 "GET", f"/v1/campaigns/{job_id}/events", headers=self._headers()
             )
@@ -237,27 +312,10 @@ class ServiceClient:
                 text = line.decode("utf-8").strip()
                 if text:
                     yield json.loads(text)
-        finally:
-            connection.close()
 
     def fetch_results_text(self, job_id: str) -> str:
         """The stored schema-v2 results file, byte-for-byte."""
-        connection = self._connect()
-        try:
-            connection.request(
-                "GET", f"/v1/campaigns/{job_id}/results", headers=self._headers()
-            )
-            response = connection.getresponse()
-            raw = response.read()
-            if response.status != 200:
-                try:
-                    message = json.loads(raw.decode("utf-8")).get("error", "")
-                except ValueError:
-                    message = raw.decode("utf-8", "replace")
-                raise ServiceError(response.status, str(message))
-            return raw.decode("utf-8")
-        finally:
-            connection.close()
+        return self._request("GET", f"/v1/campaigns/{job_id}/results").decode("utf-8")
 
     def fetch_results(self, job_id: str) -> tuple[CampaignSpec, list]:
         """Results parsed into ``(spec, records)``."""
@@ -283,19 +341,19 @@ class ServiceClient:
         request = {"worker_id": worker_id, "max_shards": max_shards}
         if wait_s:
             request["wait_s"] = wait_s
-        _status, payload = self._request(
-            "POST", "/v1/leases", body=json.dumps(request), wait_s=wait_s
+        return _payload(
+            self._request("POST", "/v1/leases", body=json.dumps(request), wait_s=wait_s)
         )
-        return payload
 
     def lease_heartbeat(self, lease_id: str, worker_id: str, epoch: int) -> dict:
         """Renew one lease; raises :class:`ServiceError` 409 when fenced."""
-        _status, payload = self._request(
-            "POST",
-            f"/v1/leases/{lease_id}/heartbeat",
-            body=json.dumps({"worker_id": worker_id, "epoch": epoch}),
+        return _payload(
+            self._request(
+                "POST",
+                f"/v1/leases/{lease_id}/heartbeat",
+                body=json.dumps({"worker_id": worker_id, "epoch": epoch}),
+            )
         )
-        return payload
 
     def lease_complete(
         self, lease_id: str, worker_id: str, epoch: int, result: dict
@@ -309,14 +367,15 @@ class ServiceClient:
         :class:`ServiceError` with status 409 and the worker must
         discard its local result.
         """
-        _status, payload = self._request(
-            "POST",
-            f"/v1/leases/{lease_id}/complete",
-            body=json.dumps(
-                {"worker_id": worker_id, "epoch": epoch, "result": result}
-            ),
+        return _payload(
+            self._request(
+                "POST",
+                f"/v1/leases/{lease_id}/complete",
+                body=json.dumps(
+                    {"worker_id": worker_id, "epoch": epoch, "result": result}
+                ),
+            )
         )
-        return payload
 
     def analytics(
         self,
@@ -339,40 +398,23 @@ class ServiceClient:
                 if value is not None
             }
         )
-        _status, payload = self._request(
-            "GET", f"/v1/analytics/{report}?{query}"
-        )
-        return payload
+        return _payload(self._request("GET", f"/v1/analytics/{report}?{query}"))
 
     def healthz(self) -> dict:
         """The service's ``/healthz`` payload."""
-        _status, payload = self._request("GET", "/healthz")
-        return payload
+        return _payload(self._request("GET", "/healthz"))
 
     def metrics(self) -> dict:
         """The service's exported metrics registry (JSON form)."""
-        _status, payload = self._request("GET", "/metrics?format=json")
-        return payload
+        return _payload(self._request("GET", "/metrics?format=json"))
 
     def metrics_text(self) -> str:
         """The service's ``/metrics`` Prometheus text exposition."""
-        connection = self._connect()
-        try:
-            connection.request("GET", "/metrics", headers=self._headers())
-            response = connection.getresponse()
-            raw = response.read()
-            if response.status != 200:
-                raise ServiceError(
-                    response.status, raw.decode("utf-8", "replace").strip()
-                )
-            return raw.decode("utf-8")
-        finally:
-            connection.close()
+        return self._request("GET", "/metrics").decode("utf-8")
 
     def dashboard(self, interval_s: float = 1.0, count: int = 0) -> Iterator[dict]:
         """Yield live ``/v1/dashboard`` snapshots (NDJSON stream)."""
-        connection = self._connect()
-        try:
+        with self._stream_connection() as connection:
             connection.request(
                 "GET",
                 f"/v1/dashboard?interval={interval_s}&count={count}",
@@ -389,5 +431,3 @@ class ServiceClient:
                 text = line.decode("utf-8").strip()
                 if text:
                     yield json.loads(text)
-        finally:
-            connection.close()

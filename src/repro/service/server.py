@@ -57,7 +57,9 @@ the lease table's ``on_pending`` hook sets one wake event that every
 waiting request watches.
 
 Everything is stdlib: ``asyncio`` transports and a small, strict
-HTTP/1.1 request parser.  The matching blocking client lives in
+HTTP/1.1 request parser.  Connections stay open between requests (the
+client keeps one per thread), and JSON replies are compact, so
+CPython's C encoder writes them.  The matching blocking client lives in
 :mod:`repro.service.client`.
 """
 
@@ -107,6 +109,9 @@ SERVER_ID = f"repro-service/{__version__}"
 
 #: Largest accepted request body (campaign specs are tiny).
 _MAX_BODY_BYTES = 1 << 20
+
+#: Headers of a reply after which the server hangs up (413, 500).
+_CLOSE = {"Connection": "close"}
 
 _REASONS = {
     200: "OK",
@@ -324,6 +329,9 @@ class CampaignService:
         self._server: asyncio.base_events.Server | None = None
         self._supervisor_task: asyncio.Task | None = None
         self._writers: set[asyncio.StreamWriter] = set()
+        #: Set by :meth:`stop`: a connection whose handler starts after
+        #: it closed the others is closed at once, unanswered.
+        self._stopping = False
         self._started_s = monotonic_s()
 
     # -- lifecycle -----------------------------------------------------
@@ -380,12 +388,19 @@ class CampaignService:
             await self._supervisor_task
 
     async def stop(self) -> None:
-        """Close the listening socket and every open connection."""
+        """Close the listening socket and every open connection.
+
+        Connections close before ``wait_closed()``, which from Python
+        3.12.1 waits for every open one: an idle keep-alive client would
+        otherwise hold the drained server up.
+        """
+        self._stopping = True
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
         for writer in list(self._writers):
             writer.close()
+        if self._server is not None:
+            await self._server.wait_closed()
         await asyncio.to_thread(self.warehouse.close)
         logger.info("server stopped")
 
@@ -396,9 +411,10 @@ class CampaignService:
     ) -> None:
         peer = writer.get_extra_info("peername")
         client = peer[0] if isinstance(peer, tuple) else "?"
+        self.metrics.counter("service.connections").inc()
         self._writers.add(writer)
         try:
-            while True:
+            while not self._stopping:
                 request = await _read_request(reader, client)
                 if request is None:
                     break
@@ -444,6 +460,7 @@ class CampaignService:
                     writer,
                     500,
                     {"error": f"internal error: {type(error).__name__}: {error}"},
+                    extra=_CLOSE,
                 )
                 keep_alive = False
         finally:
@@ -466,6 +483,7 @@ class CampaignService:
                 writer,
                 413,
                 {"error": f"request body exceeds {_MAX_BODY_BYTES} bytes"},
+                extra=_CLOSE,
             )
             return "oversized", False
         segments = [part for part in request.path.split("/") if part]
@@ -883,11 +901,11 @@ class CampaignService:
         payload: dict,
         extra: dict[str, str] | None = None,
     ) -> None:
-        """Serialize ``payload`` and send it with ``status``."""
+        """Serialize ``payload`` (compact: the C encoder) and send it."""
         await self._send(
             writer,
             status,
-            (json.dumps(payload, indent=1) + "\n").encode("utf-8"),
+            (json.dumps(payload) + "\n").encode("utf-8"),
             content_type="application/json",
             extra=extra,
         )

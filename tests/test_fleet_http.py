@@ -211,22 +211,19 @@ def test_lease_protocol_reassigns_expired_lease_and_fences_zombie(tmp_path):
 
 
 class InProcessService:
-    """A fleet-backend ``CampaignService`` on its own event-loop thread."""
+    """A ``CampaignService`` on its own event-loop thread.
+
+    It serves the fleet backend on an ephemeral port unless ``config``
+    says otherwise.
+    """
 
     def __init__(self, data_dir, **config):
         self.loop = asyncio.new_event_loop()
         self.thread = threading.Thread(target=self._run, daemon=True)
         self.thread.start()
+        defaults = {"port": 0, "backend": "fleet", "shard_size": 1}
         self.service = self.call(
-            self._start(
-                ServiceConfig(
-                    data_dir=data_dir,
-                    port=0,
-                    backend="fleet",
-                    shard_size=1,
-                    **config,
-                )
-            )
+            self._start(ServiceConfig(data_dir=data_dir, **{**defaults, **config}))
         )
         self.port = self.service.port
         self.client = ServiceClient(f"http://127.0.0.1:{self.port}", retries=0)
@@ -269,6 +266,7 @@ class InProcessService:
         await asyncio.gather(*pending, return_exceptions=True)
 
     def close(self):
+        self.client.close()
         try:
             self.call(self._shutdown())
         finally:

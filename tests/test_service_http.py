@@ -317,10 +317,21 @@ def test_draining_server_rejects_new_submissions(tmp_path):
     server = ServerProcess(tmp_path)
     try:
         client = server.client(client_id="d2", retries=0)
-        submitted = client.submit(small_spec(seed=9, sites_per_module=6))
-        while client.status(submitted.job_id).state != "running":
-            time.sleep(0.05)
+        # One t_AggON point: every shard samples a new site's rows (about
+        # 80 ms), and the drain lasts as long as the shard in flight.  A
+        # SIGTERM sent as one shard completes lands early in the next.
+        submitted = client.submit(
+            small_spec(seed=9, sites_per_module=6, t_aggon_values=(36.0,))
+        )
+        for event in client.stream_events(submitted.job_id):
+            if event["event"] == "progress" and event["done"] >= 1:
+                break
         server.process.send_signal(signal.SIGTERM)
+        # The submit below may reach the server before its SIGTERM
+        # handler has run: wait until the server says it is draining.
+        deadline = time.monotonic() + 30.0
+        while client.healthz()["status"] != "draining":
+            assert time.monotonic() < deadline, "server never started draining"
         # While the in-flight shard winds down, submissions get 503.
         with pytest.raises(ServiceError) as excinfo:
             client.submit(small_spec(seed=10))
