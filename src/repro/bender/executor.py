@@ -20,7 +20,14 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro import units
-from repro.dram.device import Bitflip, DoseTwin, DramDevice, PlanStep, ProbePlan
+from repro.dram.device import (
+    Bitflip,
+    DoseTwin,
+    DramDevice,
+    PlanSkeleton,
+    PlanStep,
+    ProbePlan,
+)
 from repro.dram.geometry import RowAddress
 from repro.bender.loops import LoopSummary, summarize_steady_loop
 from repro.bender.program import Act, FillRow, Instruction, Loop, Pre, Program, ReadRow, Wait
@@ -209,15 +216,22 @@ class ProgramExecutor:
     def plan_payload(self, template: Payload) -> ProbePlan | None:
         """Replay ``template``'s count-independent prefix; plan its bulk probes.
 
+        :meth:`replay_prefix`, then :meth:`ProbePrefix.plan` for the
+        template itself.  None where either gives none.
+        """
+        prefix = self.replay_prefix(template)
+        return None if prefix is None else prefix.plan(template)
+
+    def replay_prefix(self, template: Payload) -> ProbePrefix | None:
+        """Replay ``template``'s count-independent prefix once on the dose twin.
+
         The device must be a fresh :class:`repro.dram.device.DoseTwin`.
         The prefix is everything before the first top-level loop (the
         one :meth:`Payload.with_loop_count` patches by default) plus
         that loop's warm-up iterations, run here as one ordinary
-        program.  The plan answers :meth:`execute_payload` of
-        ``template.with_loop_count(n)`` on a fresh twin for every ``n``
-        above :data:`LITERAL_LOOP_MAX`.  None when the template has no
-        such loop, its body is not summarizable, or a loop follows it;
-        errors the prefix raises are the walk's own.
+        program.  None when the template has no such loop, its body is
+        not summarizable, or a loop follows it; errors the prefix raises
+        are the walk's own.
         """
         if not isinstance(self.device, DoseTwin):
             raise TypeError("probe plans replay on a dose twin")
@@ -232,50 +246,12 @@ class ProgramExecutor:
         summary = template.summaries.get(id(loop))
         if not loop.is_steady or summary is None:
             return None
-        suffix = instructions[position + 1 :]
-        steps: list[PlanStep] = []
-        touched = {(episode.address.rank, episode.address.bank) for episode in summary.episodes}
-        for instruction in suffix:
-            if isinstance(instruction, Wait):
-                steps.append(("wait", instruction.duration))
-            elif isinstance(instruction, Act):
-                steps.append(("act", instruction.address))
-                touched.add((instruction.address.rank, instruction.address.bank))
-            elif isinstance(instruction, Pre):
-                steps.append(("pre", (instruction.rank, instruction.bank)))
-                touched.add((instruction.rank, instruction.bank))
-            elif isinstance(instruction, FillRow):
-                steps.append(("fill", instruction.address, instruction.byte_value))
-                steps.append(("wait", _FILL_COST))
-            elif isinstance(instruction, ReadRow):
-                steps.append(("read", instruction.address))
-                steps.append(("wait", _READ_COST))
-            else:
-                return None
-        prefix = Program(list(instructions[:position]) + [Loop(_WARMUP_ITERATIONS, loop.body)])
-        start = self.interpret(prefix).end_time
-        banks = {}
-        for rank, bank in touched:
-            state = self._bank(rank, bank)
-            banks[(rank, bank)] = (state.last_act, state.last_pre)
-        return ProbePlan(
-            self.device,
-            warmup=_WARMUP_ITERATIONS,
-            start=start,
-            period=summary.period,
-            episodes=[
-                (episode.address, episode.t_on, episode.t_off, episode.pre_offset)
-                for episode in summary.episodes
-            ],
-            banks=banks,
-            steps=steps,
-            check_timing=self.check_timing,
-            duration=(
-                Program(list(instructions[:position])).duration(),
-                Program(list(loop.body)).duration(),
-                tuple(i.duration for i in suffix if isinstance(i, Wait)),
-            ),
-        )
+        if _plan_steps(instructions[position + 1 :]) is None:
+            return None
+        head = list(instructions[:position])
+        start = self.interpret(Program(head + [Loop(_WARMUP_ITERATIONS, loop.body)])).end_time
+        banks = {bank: (state.last_act, state.last_pre) for bank, state in self._banks.items()}
+        return ProbePrefix(self, template, head, loop.body, summary, start, banks)
 
     def _execute(
         self,
@@ -468,3 +444,152 @@ class ProgramExecutor:
             except KeyError:
                 pass
         return summarize_steady_loop(loop.body)
+
+
+def _plan_steps(suffix: list[Instruction]) -> tuple[list[PlanStep], set[tuple[int, int]]] | None:
+    """A plan's walk of ``suffix`` as steps, and the banks those touch.
+
+    None when ``suffix`` holds an instruction a plan does not model (a
+    loop).
+    """
+    steps: list[PlanStep] = []
+    touched: set[tuple[int, int]] = set()
+    for instruction in suffix:
+        if isinstance(instruction, Wait):
+            steps.append(("wait", instruction.duration))
+        elif isinstance(instruction, Act):
+            steps.append(("act", instruction.address))
+            touched.add((instruction.address.rank, instruction.address.bank))
+        elif isinstance(instruction, Pre):
+            steps.append(("pre", (instruction.rank, instruction.bank)))
+            touched.add((instruction.rank, instruction.bank))
+        elif isinstance(instruction, FillRow):
+            steps.append(("fill", instruction.address, instruction.byte_value))
+            steps.append(("wait", _FILL_COST))
+        elif isinstance(instruction, ReadRow):
+            steps.append(("read", instruction.address))
+            steps.append(("wait", _READ_COST))
+        else:
+            return None
+    return steps, touched
+
+
+class ProbePrefix:
+    """One replay of a probe template's count-independent prefix on a dose twin.
+
+    The prefix is everything before the template's first top-level loop
+    plus that loop's warm-up iterations.  Templates with the same
+    instructions before that loop and the same loop body share it — the
+    two count parities of a double-sided ACmin probe do, for their
+    trailing half-episode comes after the loop — so one replay serves
+    them all: :meth:`plan` binds each one's plan to the twin as the
+    prefix left it, and :meth:`literal_flips` answers a loop count the
+    executor runs literally.  Neither changes the twin.
+
+    Plans bind a :class:`repro.dram.device.PlanSkeleton`, compiled once
+    per template and kept in its ``plan_skeletons``; one that does not
+    fit the twin (:meth:`PlanSkeleton.fits`) is compiled anew.
+    """
+
+    def __init__(
+        self,
+        executor: ProgramExecutor,
+        template: Payload,
+        head: list[Instruction],
+        body: tuple[Instruction, ...],
+        summary: LoopSummary,
+        start: float,
+        banks: dict[tuple[int, int], tuple[float, float]],
+    ) -> None:
+        self.template = template
+        self.twin = executor.device
+        self._check_timing = executor.check_timing
+        self._head = head
+        self._body = body
+        self._summary = summary
+        self._start = start
+        self._banks = banks
+        self._serves: dict[Payload, bool] = {template: True}
+
+    def serves(self, template: Payload) -> bool:
+        """Whether ``template`` has this prefix: the same instructions before its first loop and the same body."""
+        serves = self._serves.get(template)
+        if serves is None:
+            instructions = template.program.instructions
+            position = len(self._head)
+            serves = self._serves[template] = (
+                len(instructions) > position
+                and isinstance(instructions[position], Loop)
+                and instructions[position].body == self._body
+                and instructions[:position] == self._head
+            )
+        return serves
+
+    def _duration(self, suffix: list[Instruction]) -> tuple[float, float, tuple[float, ...]]:
+        """A plan's ``duration``: as ``Program.duration`` sums the payload's waits."""
+        return (
+            Program(self._head).duration(),
+            Program(list(self._body)).duration(),
+            tuple(i.duration for i in suffix if isinstance(i, Wait)),
+        )
+
+    def plan(self, template: Payload) -> ProbePlan | None:
+        """``template``'s plan for loop counts above :data:`LITERAL_LOOP_MAX`.
+
+        ``template`` must be one this prefix :meth:`serves`.  None when
+        a loop follows its first one; raises
+        :class:`repro.dram.device.ReplayInexact` where every bulk probe's
+        walk would.
+        """
+        skeleton = template.plan_skeletons.get(None)
+        if skeleton is None or not skeleton.fits(self.twin, self._check_timing):
+            suffix = template.program.instructions[len(self._head) + 1 :]
+            planned = _plan_steps(suffix)
+            if planned is None:
+                return None
+            steps, touched = planned
+            summary = self._summary
+            touched |= {(e.address.rank, e.address.bank) for e in summary.episodes}
+            skeleton = template.plan_skeletons[None] = PlanSkeleton(
+                self.twin,
+                warmup=_WARMUP_ITERATIONS,
+                start=self._start,
+                period=summary.period,
+                episodes=[
+                    (episode.address, episode.t_on, episode.t_off, episode.pre_offset)
+                    for episode in summary.episodes
+                ],
+                banks={bank: self._banks.get(bank, (-1e18, -1e18)) for bank in touched},
+                steps=steps,
+                check_timing=self._check_timing,
+                duration=self._duration(suffix),
+            )
+        return ProbePlan(skeleton, self.twin, prefix=self)
+
+    def literal_flips(self, template: Payload, loop_count: int) -> bool:
+        """``template`` at a ``loop_count`` the executor runs literally, as the twin walk answers it.
+
+        ``template`` must be one this prefix :meth:`serves`, and
+        ``loop_count`` at most :data:`LITERAL_LOOP_MAX`.  The answer
+        comes from a skeleton of the whole walk (fills, ``loop_count``
+        iterations, the rest) from a fresh twin, bound to this replay's
+        dose model; it raises :class:`repro.dram.device.ReplayInexact`
+        where that walk would not end in a twin verdict.
+        """
+        skeleton = template.plan_skeletons.get(loop_count)
+        if skeleton is None or not skeleton.fits(self.twin, self._check_timing):
+            suffix = template.program.instructions[len(self._head) + 1 :]
+            steps, touched = _plan_steps(self._head + list(self._body) * loop_count + suffix)
+            skeleton = template.plan_skeletons[loop_count] = PlanSkeleton(
+                DoseTwin(self.twin),
+                warmup=loop_count,
+                start=0.0,
+                period=0.0,
+                episodes=(),
+                banks={bank: (-1e18, -1e18) for bank in touched},
+                steps=steps,
+                check_timing=self._check_timing,
+                duration=self._duration(suffix),
+                fresh=True,
+            )
+        return ProbePlan(skeleton, self.twin).flips(loop_count)

@@ -12,8 +12,9 @@ controller into one object that characterization code drives:
   replays a payload on the device's dose-only twin and executes it on
   the device only when the replay cannot be exact;
 * a search that probes one template at many loop counts asks
-  :meth:`TestingInfrastructure.probe_bitflip`, which answers bulk
-  counts from the template's :class:`repro.dram.device.ProbePlan`.
+  :meth:`TestingInfrastructure.probe_bitflip`, which answers them from
+  the template's :class:`repro.dram.device.ProbePlan`: bulk counts by
+  dose arithmetic, literal ones from the plan's prefix replay.
 """
 
 from __future__ import annotations
@@ -142,34 +143,70 @@ class TestingInfrastructure:
         except ReplayInexact:
             return None
 
+    def _plan_of(
+        self, template: Payload, plans: dict[Payload, ProbePlan | None], replay: bool
+    ) -> ProbePlan | None:
+        """``template``'s plan in ``plans``, built there if it is not yet.
+
+        A plan whose prefix replay serves the template too (the other
+        count parity of a double-sided probe) lends it that replay;
+        without one, a new replay is made only if ``replay``.
+        """
+        try:
+            return plans[template]
+        except KeyError:
+            pass
+        for sibling in plans.values():
+            if sibling is not None and sibling.prefix.serves(template):
+                try:
+                    plan = sibling.prefix.plan(template)
+                except ReplayInexact:
+                    plan = None
+                break
+        else:
+            if not replay:
+                return None
+            plan = self.probe_plan(template)
+        plans[template] = plan
+        return plan
+
     def probe_bitflip(
         self, template: Payload, loop_count: int, plans: dict[Payload, ProbePlan | None]
     ) -> bool:
         """``any_bitflip(template.with_loop_count(loop_count))``, from a plan where one applies.
 
-        ``plans`` holds one search's plans, one per template, each
-        built at the template's first bulk probe (:meth:`probe_plan`).
-        A bulk probe with a plan keeps the budget check (the same
-        ``ValueError``) and the fresh experiment, and builds no payload;
-        counts the executor runs literally, templates without a plan
-        and probes the plan cannot finish exactly go to
+        ``plans`` holds one search's plans, one per template: each built
+        at the template's first bulk probe (:meth:`probe_plan`), from
+        the prefix replay of another plan there whose template shares
+        it, else from a replay of its own.  A probe answered from a plan
+        keeps the budget check (the same ``ValueError``) and the fresh
+        experiment, and builds no payload.  A bulk count comes from the
+        plan's arithmetic (counted in :attr:`BenchLog.plan_probes`); a
+        count the executor runs literally, such as the count-1 probe,
+        from a compiled walk bound to the plan's prefix replay
+        (:meth:`ProbePrefix.literal_flips`), where a plan in ``plans``
+        serves the template — no replay is made for it.  Templates
+        without a plan and probes a plan cannot finish exactly go to
         :meth:`any_bitflip`.
         """
         if LITERAL_LOOP_MAX < loop_count <= MAX_LOOP_COUNT:
+            plan = self._plan_of(template, plans, replay=True)
+        elif 0 <= loop_count <= LITERAL_LOOP_MAX and plans:
+            plan = self._plan_of(template, plans, replay=False)
+        else:
+            plan = None
+        if plan is not None:
+            self._check_budget(plan.duration_ns(loop_count))
+            self.fresh_experiment()
             try:
-                plan = plans[template]
-            except KeyError:
-                plan = plans[template] = self.probe_plan(template)
-            if plan is not None:
-                self._check_budget(plan.duration_ns(loop_count))
-                self.fresh_experiment()
-                try:
-                    flips = plan.flips(loop_count)
-                except ReplayInexact:
-                    pass
-                else:
-                    self.log.plan_probes += 1
-                    return flips
+                if loop_count <= LITERAL_LOOP_MAX:
+                    return plan.prefix.literal_flips(template, loop_count)
+                flips = plan.flips(loop_count)
+            except ReplayInexact:
+                pass
+            else:
+                self.log.plan_probes += 1
+                return flips
         return self.any_bitflip(template.with_loop_count(loop_count))
 
     def fresh_experiment(self) -> None:

@@ -353,6 +353,10 @@ class Payload:
     top_level_loops: tuple[int, ...]
     program: Program = field(compare=False, repr=False)
     summaries: dict[int, LoopSummary | None] = field(compare=False, repr=False)
+    #: The walks probe plans of this payload bind, compiled at its first
+    #: plan (:class:`repro.bender.executor.ProbePrefix`): keyed by the
+    #: literal loop count they walk, None for the bulk one.
+    plan_skeletons: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.words)

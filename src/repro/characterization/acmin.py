@@ -9,17 +9,19 @@ defaults to 1 (the knob exists for noise-injection studies).
 
 Probes of one site and t_AggON differ only in the loop count, so each
 probe program is compiled once into a template (one bounded cache per
-process) and each probe is one call of
+process); a search resolves each count parity's template once, and each
+probe is one call of
 :meth:`repro.bender.infrastructure.TestingInfrastructure.probe_bitflip`
 with that template and count.  A search keeps one
-:class:`repro.dram.device.ProbePlan` per template it uses, built at the
-template's first bulk probe, which answers bulk probes by dose
-arithmetic; the count-1 probe and templates without a plan are replayed
-on the device's dose-only twin (``any_bitflip``), and the device
-executes a probe only where neither can be exact (docs/MODEL.md §4).
-The ``acmin.search`` span's ``device_probes`` and the
+:class:`repro.dram.device.ProbePlan` per template it uses, both count
+parities' plans bound to one replay of their shared prefix, built at the
+first bulk probe: it answers bulk probes by dose arithmetic and, from
+its prefix replay, the count-1 probe.  Probes of a search with no plan
+are replayed on the device's dose-only twin (``any_bitflip``), and the
+device executes a probe only where neither can be exact (docs/MODEL.md
+§4).  The ``acmin.search`` span's ``device_probes`` and the
 ``acmin.device_probes`` counter count those device executes, and
-``acmin.plan_probes`` the probes a plan answered.
+``acmin.plan_probes`` the bulk probes a plan answered.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.bender.infrastructure import TestingInfrastructure
 from repro.bender.isa import Payload, compile_program
@@ -46,7 +49,8 @@ from repro.obs import NULL_OBSERVER, Observer
 #: double-sided search uses two (one per count parity), a single-sided
 #: one one; a sweep over S sites and P t_AggON points uses at most
 #: 2 x S x P per access and data pattern.  A template takes about
-#: 6.4 KB, so a full cache holds under 7 MB.
+#: 19.5 KB with the plan skeletons its searches compile and keep with it
+#: (6.6 KB without), so a full cache holds under 20 MB.
 PROBE_CACHE_SIZE = 1024
 
 
@@ -72,17 +76,21 @@ def _probe_template(
     return compile_program(program, timing)
 
 
-def probe_template(
-    site: RowSite, t_aggon: float, count: int, config: ExperimentConfig
-) -> tuple[Payload, int]:
-    """The template of one ACmin probe of ``count`` total activations, and its loop count.
+def _loops_and_parity(count: int, access: AccessPattern) -> tuple[int, int]:
+    """Loop count and count parity of a probe of ``count`` total activations.
 
     Double-sided patterns loop over aggressor *pairs* and append a
     trailing half-episode when the total is odd, so the loop count is
     ``count // 2`` and the parity is part of the compiled shape.
     """
-    double = config.access is AccessPattern.DOUBLE_SIDED
-    loops, parity = divmod(count, 2) if double else (count, 0)
+    return divmod(count, 2) if access is AccessPattern.DOUBLE_SIDED else (count, 0)
+
+
+def probe_template(
+    site: RowSite, t_aggon: float, count: int, config: ExperimentConfig
+) -> tuple[Payload, int]:
+    """The template of one ACmin probe of ``count`` total activations, and its loop count."""
+    loops, parity = _loops_and_parity(count, config.access)
     template = _probe_template(
         site, t_aggon, parity, config.access, config.data, config.timing
     )
@@ -113,8 +121,9 @@ class AcminSearch:
     searcher per module or per engine unit still compiles each (site,
     t_AggON, count parity) probe program once per access and data
     pattern.  Each :meth:`_search_once` keeps its own probe plans, one
-    per template it uses (one single-sided, two double-sided), and
-    drops them when it returns: no plan outlives its search.
+    per template it uses (one single-sided, two double-sided, from one
+    prefix replay), and drops them when it returns: no plan outlives its
+    search.
     """
 
     infra: TestingInfrastructure
@@ -123,22 +132,33 @@ class AcminSearch:
     observer: Observer = field(default_factory=Observer.null)
     _probes: int = field(default=0, repr=False)
 
-    def _flips_at(
-        self,
-        site: RowSite,
-        t_aggon: float,
-        count: int,
-        plans: dict[Payload, ProbePlan | None] | None = None,
-    ) -> bool:
-        """Whether ``count`` activations flip any victim bit (one probe).
+    def _prober(self, site: RowSite, t_aggon: float) -> Callable[[int], bool]:
+        """One search's probe: whether ``count`` activations flip any victim bit.
 
-        ``plans`` are the current search's; a probe outside a search
-        plans for itself alone.
+        Each count parity's template is resolved once, at its first
+        probe, and the probes share one dict of plans (one per template).
         """
-        template, loops = probe_template(site, t_aggon, count, self.config)
-        flips = self.infra.probe_bitflip(template, loops, {} if plans is None else plans)
-        self._probes += 1
+        config = self.config
+        access = config.access
+        templates: list[Payload | None] = [None, None]  # per count parity
+        plans: dict[Payload, ProbePlan | None] = {}
+        infra = self.infra
+
+        def flips(count: int) -> bool:
+            loops, parity = _loops_and_parity(count, access)
+            template = templates[parity]
+            if template is None:
+                template = templates[parity] = _probe_template(
+                    site, t_aggon, parity, access, config.data, config.timing
+                )
+            self._probes += 1
+            return infra.probe_bitflip(template, loops, plans)
+
         return flips
+
+    def _flips_at(self, site: RowSite, t_aggon: float, count: int) -> bool:
+        """Whether ``count`` activations flip any victim bit (one probe, outside a search)."""
+        return self._prober(site, t_aggon)(count)
 
     def search(self, site: RowSite, t_aggon: float, repeats: int = 1) -> int | None:
         """ACmin for one site and t_AggON; ``None`` when no bitflip occurs."""
@@ -169,19 +189,19 @@ class AcminSearch:
         return best
 
     def _search_once(self, site: RowSite, t_aggon: float) -> int | None:
-        plans: dict[Payload, ProbePlan | None] = {}  # this search's, per template
+        flips = self._prober(site, t_aggon)
         acmax = max_activations(t_aggon, self.config)
-        if not self._flips_at(site, t_aggon, acmax, plans):
+        if not flips(acmax):
             return None
         low, high = 0, acmax  # low: no flip; high: flips
-        if acmax > 1 and self._flips_at(site, t_aggon, 1, plans):
+        if acmax > 1 and flips(1):
             return 1
         low = 1 if acmax > 1 else 0
         while high - low > max(math.ceil(self.accuracy * high), 1):
             mid = (low + high) // 2
             if mid in (low, high):
                 break
-            if self._flips_at(site, t_aggon, mid, plans):
+            if flips(mid):
                 high = mid
             else:
                 low = mid

@@ -22,8 +22,9 @@ issuer (:mod:`repro.bender.executor` and :mod:`repro.sim.dram_model`).
 :class:`DoseTwin` is a dose-only twin of a device: it keeps the same
 doses but no row data, and only decides whether a sense would flip any
 cell.  Search probes replay their payloads on it (docs/MODEL.md §4).
-A :class:`ProbePlan` keeps a twin's state after a payload's
-count-independent prefix and answers the payload's bulk probes by dose
+A :class:`PlanSkeleton` is a payload's walk after its count-independent
+prefix, compiled once; a :class:`ProbePlan` binds it to a twin that has
+replayed that prefix and answers the payload's bulk probes by dose
 arithmetic alone.
 """
 
@@ -589,60 +590,96 @@ class DoseTwin(DramDevice):
         exposure = self._restore_on_sense(key, time_ns)
         if exposure is None:
             return False
-        if _exposure_flips(self.population, key, byte, *exposure):
+        hammer_dose, press_dose, unrefreshed, scale = exposure
+        minima = _sense_minima(self.population, key, byte, scale)
+        if _flips_under(minima, hammer_dose, press_dose, unrefreshed):
             self._uniform_byte.pop(key)  # the flip changed the row's content
             return True
         return False
 
 
-def _exposure_flips(
-    population: CellPopulation,
-    key: RowKey,
-    byte: int,
+def _sense_minima(
+    population: CellPopulation, key: RowKey, byte: int, scale: float
+) -> tuple[float, float, float]:
+    """A row's smallest thresholds that can flip under ``byte``.
+
+    The (hammer, press, retention) minima of its summary, the retention
+    one times the retention ``scale``.
+    """
+    hammer, press, retention = population.summary(*key).eligible_minima(byte)
+    return hammer, press, retention * scale
+
+
+def _flips_under(
+    minima: tuple[float, float, float],
     hammer_dose: float,
     press_dose: float,
     unrefreshed: float,
-    scale: float,
 ) -> bool:
-    """Whether a row filled with ``byte`` flips a cell under an exposure."""
-    hammer, press, retention = population.summary(*key).eligible_minima(byte)
+    """Whether a row with these :func:`_sense_minima` flips a cell under an exposure."""
+    hammer, press, retention = minima
     return (
         (hammer_dose > 0.0 and hammer <= hammer_dose)
         or (press_dose > 0.0 and press <= press_dose)
-        or retention * scale <= unrefreshed
+        or retention <= unrefreshed
     )
 
 
-#: One step after a plan's bulk loop, in the executor's order:
-#: ``("wait", ns)``, ``("act", address)``, ``("pre", (rank, bank))``,
-#: ``("fill", address, byte)`` or ``("read", address)``.  Fills and
-#: reads are followed by the executor's cost as a wait.
+#: One step of a plan's walk, in the executor's order: ``("wait", ns)``,
+#: ``("act", address)``, ``("pre", (rank, bank))``, ``("fill", address,
+#: byte)`` or ``("read", address)``.  Fills and reads are followed by the
+#: executor's cost as a wait.
 PlanStep = tuple
 
+# What a compiled plan does per probe (ProbePlan.flips), one tuple each.
+# Operands are slots of the probe's values, which start as a copy of the
+# plan's (times the prefix fixed, the doses it left); the probe writes
+# the times and doses its loop count decides into further slots.
+_END = 0  # (_END, slot, pre_offset): a bulk episode's end time
+_SHIFT = 1  # (_SHIFT, slot, time): a bank's last ACT or PRE, moved by the bulk
+_WAIT = 2  # (_WAIT, ns)
+_STORE = 3  # (_STORE, slot): the time now
+_AFTER = 4  # (_AFTER, slot, minimum, what): an executor timing check
+_ZERO = 5  # (_ZERO, hammer, press): a bulk aggressor's doses cleared
+_FILL = 6  # (_FILL, key, hammer, press, restored): a fill's charge restore
+_BULK = 7  # (_BULK, end, targets, doses): one bulk episode's doses
+_FLUSH = 8  # (_FLUSH, flush, now or None): a pending episode's doses
+_SENSE = 9  # (_SENSE, key, hammer, press, restore, restored, minima, read, check, final)
 
-class ProbePlan:
-    """The bulk probes of one payload template, answered by dose arithmetic.
 
-    A search probes one compiled template at many loop counts.  Past
-    the executor's warm-up iterations those probes differ only in how
-    many iterations the bulk deposit applies and in the times that
-    follow from it; the fills, the warm-up ACT/PRE, their timing checks
-    and every fill byte come out the same.  A plan is built from a
-    :class:`DoseTwin` that has replayed that count-independent prefix
-    through the ordinary executor, and keeps the twin's state there.
-    :meth:`flips` answers a probe by redoing, on a copy of that state,
-    what the executor's bulk path and the steps after the loop do to
-    the twin: the same :meth:`DisturbanceModel.loop_doses` terms added
-    in the same order (``deposit_episodes`` → ``_flush_pending`` /
-    ``_deposit``), the same sequential time sums, and the same sense
-    verdicts (``_restore_on_sense`` → ``_flips_on_sense``).  No payload,
-    program, executor or twin is built per probe.
+class PlanSkeleton:
+    """A probe template's walk, compiled once for every plan that binds it.
 
-    :meth:`flips` raises :class:`ReplayInexact` wherever the walk would
-    not end in a twin verdict: a row of unknown content, an ACT or PRE
-    the executor's timing checks reject, an ACT to an open bank.  The
-    caller then walks the probe.  A plan is valid while the bench it
-    came from keeps its temperature: for one search.
+    Building walks, once, what the executor's bulk path and the steps
+    after the loop do to a :class:`DoseTwin` that has replayed the
+    template's count-independent prefix (``deposit_episodes`` →
+    ``_flush_pending`` / ``_deposit``, then ``_restore_on_sense`` →
+    ``_flips_on_sense``), and keeps what depends on neither the loop
+    count nor the dose model: each sensed row's restore time and fill
+    byte, each dose target's fill pattern, spatial factors and sandwich
+    state where the prefix's times decide it, and the rest as a flat
+    list of operations over slots.  What the model decides — the
+    prefix's doses, the bulk's one-episode doses, a flushed episode's
+    off-time-free factors, the rows' eligible minima — a
+    :class:`ProbePlan` binds per bench and temperature.
+
+    The walk after the prefix is a function of the template, the
+    executor's settings and the device's geometry, configuration and
+    timing, given the twin's state after the prefix: its fill bytes,
+    episode ends, pending episodes, restore times and open rows.  Those
+    times and bytes come out the same on every replay of the template
+    unless a sense of the prefix flipped, so one skeleton serves a
+    template's plans on every bench and at every temperature;
+    :meth:`fits` checks a twin against what it was built from.
+
+    With ``fresh`` the skeleton walks the whole payload at one literal
+    loop count instead: ``start`` 0, no bulk episodes and ``steps`` the
+    instructions of the payload, on a twin as :meth:`DramDevice.dose_twin`
+    hands it out (no doses, every bank closed).
+
+    Building raises :class:`ReplayInexact` where every probe's walk
+    would meet a row of unknown content, a row or bank out of range or
+    an ACT to an open bank.
     """
 
     def __init__(
@@ -657,85 +694,403 @@ class ProbePlan:
         steps: Sequence[PlanStep],
         check_timing: bool,
         duration: tuple[float, float, tuple[float, ...]],
+        fresh: bool = False,
     ) -> None:
-        """Plan from ``twin`` as the prefix left it at ``start``.
+        """Compile from ``twin`` as the prefix left it at ``start``.
 
         ``episodes`` are the bulk loop's ``(address, t_on, t_off,
         pre_offset)`` and ``period`` its iteration time, ``warmup`` the
         iterations the prefix ran literally, ``banks`` the executor's
         ``(last ACT, last PRE)`` per bank the loop or ``steps`` touch,
         and ``duration`` the payload's ``(wait time before the loop,
-        one iteration's wait time, each later wait)``.  Raises
-        :class:`ReplayInexact` when every bulk probe's walk would meet
-        a row of unknown content or a row or bank out of range.
+        one iteration's wait time, each later wait)``.  The twin is
+        read, not changed.
         """
-        self.twin = twin
         self.warmup = warmup
-        self.temperature = twin.config.temperature_c
-        self.scale = retention_model.retention_scale(self.temperature)
-        self.retention_floor = twin._RETENTION_FLOOR_NS * self.scale
-        self.loop_doses = twin.disturb.loop_doses
-        self.population = twin.population
-        self.neighbor_distance = twin.config.neighbor_distance
-        self._start = start
-        self._period = period
-        self._targets: dict[RowKey, tuple[tuple[RowKey, int, RowKey | None], ...]] = {}
-        # Per bulk episode: the warm-up episode its deposit flushes, and
-        # each target's fill pattern and one-episode doses alone and
-        # sandwiched.  The bulk meets the same fill bytes at every count.
-        self._pending = dict(twin._pending)
-        bulk = []
-        for address, t_on, t_off, pre_offset in episodes:
-            key = twin._key(address)
-            aggressor_byte = twin._fill_byte(key)
-            targets = []
-            for victim, distance, other in self._targets_of(key):
-                pattern = classify_fill_pair(aggressor_byte, twin._fill_byte(victim))
-                doses = [
-                    twin.disturb.episode_doses(
-                        t_on, t_off, self.temperature, pattern, distance, sandwiched
-                    )
-                    for sandwiched in ((False, True) if other is not None else (False,))
-                ]
-                targets.append((victim, distance, other, pattern, *doses))
-            warm = self._pending.pop(key, None)
-            if warm is not None:
-                t_on_warm = warm.pre_time - warm.act_time
-                warm = (t_on_warm, warm.pre_time, twin._sandwich_window(t_on_warm))
-            bulk.append(
-                (key, pre_offset, warm, twin._sandwich_window(t_on), tuple(targets))
-            )
-        self._bulk = tuple(bulk)
-        self._bulk_banks = frozenset((key[0], key[1]) for key, *_ in bulk)
-        self._banks = banks
-        self._open_rows = {
-            bank: ((*bank, state.open_row), state.act_time)
+        self.start = start
+        self.period = period
+        self.duration = duration
+        self.fresh = fresh
+        compiler = _PlanCompiler(twin, check_timing, steps, fresh)
+        compiler.bulk(episodes)
+        compiler.walk(steps, banks, {(address.rank, address.bank) for address, *_ in episodes})
+        self.values = compiler.values
+        self.ops = compiler.finished_ops()
+        self.dose_slots = tuple(compiler.dose_inits)
+        self.bulk_doses = tuple(compiler.bulk_doses)
+        self.flushes = tuple(compiler.flushes)
+        self.minima_keys = tuple(compiler.minima_keys)
+        self._device = _device_settings(twin, check_timing)
+        self._state = None if fresh else _prefix_state(twin)
+
+    def fits(self, twin: DoseTwin, check_timing: bool) -> bool:
+        """Whether this skeleton is ``twin``'s walk: same settings, same state after the prefix."""
+        return self._device == _device_settings(twin, check_timing) and (
+            self._state is None or self._state == _prefix_state(twin)
+        )
+
+
+def _device_settings(twin: DoseTwin, check_timing: bool) -> tuple:
+    """What a skeleton takes from the device and executor besides the twin's state."""
+    config = twin.config
+    return (
+        twin.geometry,
+        twin.timing,
+        config.neighbor_distance,
+        config.sandwich_window_floor,
+        check_timing,
+    )
+
+
+def _prefix_state(twin: DoseTwin) -> tuple:
+    """What a skeleton takes from the twin's state, doses aside (copied)."""
+    return (
+        dict(twin._uniform_byte),
+        dict(twin._last_episode_end),
+        dict(twin._pending),
+        dict(twin._last_restore),
+        {
+            bank: (state.open_row, state.act_time)
             for bank, state in twin._banks.items()
             if state.open_row is not None
-        }
-        plan_steps: list[PlanStep] = []
-        for step in steps:
-            if step[0] in ("act", "fill", "read"):
-                if not twin.geometry.valid_row(step[1]):
-                    raise ReplayInexact(f"row address out of range: {step[1]}")
-                step = (step[0], twin._key(step[1]), *step[2:])
-            elif step[0] == "pre" and step[1] not in twin._banks:
-                raise ReplayInexact(f"no bank {step[1]}")
-            plan_steps.append(step)
-        self._steps = tuple(plan_steps)
-        self._commands = any(step[0] in ("act", "pre") for step in plan_steps)
-        self._check_timing = check_timing
-        self._duration = duration
+        },
+        twin._start_time,
+    )
+
+
+class ProbePlan:
+    """The probes of one payload template, answered by dose arithmetic.
+
+    A search probes one compiled template at many loop counts.  Past
+    the executor's warm-up iterations those probes differ only in how
+    many iterations the bulk deposit applies and in the times that
+    follow from it.  A plan binds the template's :class:`PlanSkeleton`
+    to a :class:`DoseTwin` that has replayed the count-independent
+    prefix: the doses the prefix left on each sensed row, the bulk's
+    one-episode doses (``episode_doses``), each flushed episode's
+    off-time-free factors (``episode_factors``), the temperature's
+    retention scale and the bench's cell population.  :meth:`flips`
+    then runs only the skeleton's operations — the end times and the
+    sequential time sums, the warm-up flush's off-time and recovery
+    terms, ``doses × remaining``, the sandwich tests against times the
+    count moves, the executor's timing checks and the sense verdicts —
+    in the walk's order and with its floats.  The model's dose
+    functions run only for an episode whose on-time the probe's own
+    commands set (the odd double-sided total's trailing half-episode),
+    once per on-time.  No payload, program, executor or twin is built
+    per probe.
+
+    :meth:`flips` raises :class:`ReplayInexact` where the probe's walk
+    would not end in a twin verdict: a row whose content a sense of the
+    probe changed, an ACT or PRE the executor's timing checks reject.
+    The caller then walks the probe.  A plan is valid while the bench it
+    came from keeps its temperature: for one search.
+    """
+
+    def __init__(self, skeleton: PlanSkeleton, twin: DoseTwin, prefix: object = None) -> None:
+        """Bind ``skeleton`` to ``twin``'s doses and dose model.
+
+        ``prefix`` is kept for the builder: the replay the plan came
+        from.  A skeleton built ``fresh`` takes no doses from the twin.
+        """
+        self.warmup = skeleton.warmup
+        self.prefix = prefix
+        self._skeleton = skeleton
+        self._ops = skeleton.ops
+        self._population = twin.population
+        temperature = twin.config.temperature_c
+        self._scale = retention_model.retention_scale(temperature)
+        self._floor = twin._RETENTION_FLOOR_NS * self._scale
+        self._flipped = not skeleton.fresh and twin.read_flipped  # a read of the prefix flipped
+        values = self._values = list(skeleton.values)
+        hammer_doses, press_doses = twin._hammer_dose, twin._press_dose
+        for h, p, key in skeleton.dose_slots:
+            values[h] = hammer_doses.get(key, 0.0)
+            values[p] = press_doses.get(key, 0.0)
+        episode_doses = twin.disturb.episode_doses
+        self._bulk_doses = [
+            tuple(
+                (
+                    episode_doses(t_on, t_off, temperature, pattern, distance, sandwiched),
+                    episode_doses(t_on, t_off, temperature, pattern, distance, True)
+                    if tested
+                    else None,
+                )
+                for t_on, t_off, pattern, distance, sandwiched, tested in targets
+            )
+            for targets in skeleton.bulk_doses
+        ]
+        self._flushes = [_Flush(shape, twin) for shape in skeleton.flushes]
+        self._minima: list[tuple[float, float, float] | None] = [None] * len(
+            skeleton.minima_keys
+        )
 
     def duration_ns(self, loop_count: int) -> float:
         """The payload's duration at ``loop_count``, summed as ``Program.duration``."""
-        head, body, tail = self._duration
+        head, body, tail = self._skeleton.duration
         total = head + loop_count * body
         for wait in tail:
             total += wait
         return total
 
-    def _targets_of(self, aggressor: RowKey) -> tuple[tuple[RowKey, int, RowKey | None], ...]:
+    def _sense_minima(self, key: RowKey, byte: int) -> tuple[float, float, float]:
+        """The minima a sense of row ``key`` filled with ``byte`` compares with."""
+        return _sense_minima(self._population, key, byte, self._scale)
+
+    def flips(self, loop_count: int) -> bool:
+        """Whether the payload at ``loop_count`` flips a bit it reads.
+
+        ``loop_count`` must exceed :attr:`warmup` by more than two, so
+        the executor runs it in bulk (or, for a ``fresh`` skeleton, be
+        the count it walks); the answer equals the twin walk's
+        :attr:`DoseTwin.read_flipped`.
+        """
+        skeleton = self._skeleton
+        remaining = loop_count - self.warmup
+        period = skeleton.period
+        base = skeleton.start + (remaining - 1) * period
+        shift = remaining * period
+        time_ns = skeleton.start + shift
+        v = self._values.copy()
+        changed: set[RowKey] = set()  # rows a sense of this probe flipped
+        flipped = self._flipped
+        for op in self._ops:
+            code = op[0]
+            if code == _SENSE:
+                # DoseTwin._flips_on_sense with _restore_on_sense.
+                _, key, h, p, restore, restored, index, read, check, final = op
+                if check and key in changed:
+                    raise ReplayInexact(f"row {key}: its content changed")
+                hammer_dose = v[h]
+                press_dose = v[p]
+                v[h] = v[p] = 0.0
+                unrefreshed = time_ns - v[restore]
+                v[restored] = time_ns
+                if hammer_dose == 0.0 and press_dose == 0.0 and unrefreshed < self._floor:
+                    continue
+                minima = self._minima[index]
+                if minima is None:
+                    key_byte = skeleton.minima_keys[index]
+                    minima = self._minima[index] = self._sense_minima(*key_byte)
+                if _flips_under(minima, hammer_dose, press_dose, unrefreshed):
+                    changed.add(key)
+                    if read:
+                        if final:
+                            return True
+                        flipped = True
+            elif code == _WAIT:
+                time_ns = time_ns + op[1]
+            elif code == _BULK:
+                # The bulk half of deposit_episodes: doses × remaining.
+                end = v[op[1]]
+                for (h, p, other, window), (doses, sandwiched) in zip(
+                    op[2], self._bulk_doses[op[3]]
+                ):
+                    if other >= 0 and end - v[other] <= window:
+                        doses = sandwiched
+                    v[h] += doses[0] * remaining
+                    v[p] += doses[1] * remaining
+            elif code == _FLUSH:
+                self._flushes[op[1]].deposit(v, time_ns if op[2] is None else v[op[2]], changed)
+            elif code == _END:
+                v[op[1]] = base + op[2]
+            elif code == _STORE:
+                v[op[1]] = time_ns
+            elif code == _AFTER:
+                if time_ns - v[op[1]] < op[2]:
+                    raise ReplayInexact(f"{op[3]} fails the executor's timing check")
+            elif code == _ZERO:
+                v[op[1]] = v[op[2]] = 0.0
+            elif code == _FILL:
+                _, key, h, p, restored = op
+                changed.discard(key)
+                v[h] = v[p] = 0.0
+                v[restored] = time_ns
+            else:  # _SHIFT
+                v[op[1]] = op[2] + shift
+        return flipped
+
+
+@dataclass(frozen=True)
+class _FlushShape:
+    """One pending episode's deposit in a skeleton (``_flush_pending`` → ``_deposit``).
+
+    ``act`` and ``pre`` are the slots of the episode's times, ``t_on``
+    its on-time where the prefix fixed both (None: the probe computes
+    it), ``groups`` the (fill pattern, sandwiched) shapes its targets
+    take, ``targets`` per sensed victim ``(hammer slot, press slot,
+    group alone, group sandwiched, sandwiching row's end slot or -1,
+    hammer spatial factor, press spatial factor)``, and ``checks`` the
+    rows whose content a sense of the probe may have changed before.
+    """
+
+    act: int
+    pre: int
+    t_on: float | None
+    groups: tuple[tuple[object, bool], ...]
+    targets: tuple[tuple[int, int, int, int, int, float, float], ...]
+    checks: tuple[RowKey, ...]
+
+
+class _Flush:
+    """A :class:`_FlushShape` bound to a dose model at one temperature.
+
+    Its doses are :meth:`DoseParameters.hammer_dose` and
+    :meth:`~DoseParameters.press_dose` taken apart: the off-time-free
+    factors come once per on-time and group
+    (:meth:`DisturbanceModel.episode_factors`), so a probe computes the
+    off-time terms once per episode and multiplies them out in the dose
+    functions' order.
+    """
+
+    __slots__ = ("shape", "params", "factors_of", "temperature", "window_of", "terms", "_memo")
+
+    def __init__(self, shape: _FlushShape, twin: DoseTwin) -> None:
+        self.shape = shape
+        self.params = twin.disturb.params
+        self.factors_of = twin.disturb.episode_factors
+        self.temperature = twin.config.temperature_c
+        self.window_of = twin._sandwich_window
+        self._memo: dict[float, tuple] = {}
+        #: (t_on, window, per-group factors) where the prefix fixed the on-time.
+        self.terms = None if shape.t_on is None else self._terms(shape.t_on)
+
+    def _terms(self, t_on: float) -> tuple:
+        factors_of, temperature = self.factors_of, self.temperature
+        terms = self._memo[t_on] = (
+            t_on,
+            self.window_of(t_on),
+            tuple(
+                (*factors_of(t_on, temperature, pattern, sandwiched), sandwiched)
+                for pattern, sandwiched in self.shape.groups
+            ),
+        )
+        return terms
+
+    def deposit(self, v: list[float], now: float, changed: set[RowKey]) -> None:
+        """Add this episode's doses, flushed at ``now``, to ``v``."""
+        shape = self.shape
+        for key in shape.checks:
+            if key in changed:
+                raise ReplayInexact(f"row {key}: its content changed")
+        pre_time = v[shape.pre]
+        terms = self.terms
+        if terms is None:  # an episode the probe's own commands made
+            t_on = pre_time - v[shape.act]
+            terms = self._memo.get(t_on) or self._terms(t_on)
+        t_on, window, groups = terms
+        t_off = max(now - pre_time, 0.0)
+        params = self.params
+        off_ratio = params.hammer_off_ratio(t_off)
+        recovery: list[float | None] = [None, None]
+        doses = []
+        for factors, onset, sandwiched in groups:
+            hammer = off_ratio
+            for factor in factors:
+                hammer *= factor
+            if recovery[sandwiched] is None:
+                recovery[sandwiched] = params.press_off_recovery(
+                    params.press_rest(t_on, t_off, sandwiched)
+                )
+            press = onset
+            press *= recovery[sandwiched]
+            doses.append((hammer, press))
+        for h, p, alone, sandwiched, other, hammer_spatial, press_spatial in shape.targets:
+            if other >= 0 and pre_time - v[other] <= window:
+                alone = sandwiched
+            hammer, press = doses[alone]
+            if hammer_spatial:
+                v[h] += hammer * hammer_spatial
+            if press_spatial:
+                v[p] += press * press_spatial
+
+
+class _PlanCompiler:
+    """Walks a probe after its prefix once, keeping count-dependent values as slots.
+
+    Each step does to a symbolic copy of the twin what the twin's method
+    it is named after does, and emits the operations a probe must run
+    for what the loop count or the dose model decides.  A slot in
+    :attr:`constant` holds a time the prefix fixed; tests between two
+    such times are decided here.
+    """
+
+    def __init__(
+        self, twin: DoseTwin, check_timing: bool, steps: Sequence[PlanStep], fresh: bool
+    ) -> None:
+        self.twin = twin
+        self.check_timing = check_timing
+        self.fresh = fresh
+        self.values: list[float] = []
+        self.constant: dict[int, float] = {}
+        self.ops: list[tuple] = []
+        self.dose_inits: list[tuple[int, int, RowKey]] = []
+        self.bulk_doses: list[tuple] = []
+        self.flushes: list[_FlushShape] = []
+        self.minima_keys: list[tuple[RowKey, int]] = []
+        self.known = dict(twin._uniform_byte)  # row -> fill byte
+        self.changing: set[RowKey] = set()  # rows a sense of the probe may have flipped
+        self.last_end = {key: self.const(end) for key, end in twin._last_episode_end.items()}
+        self.restore: dict[RowKey, int] = {}
+        self.pending = {
+            key: (self.const(episode.act_time), self.const(episode.pre_time))
+            for key, episode in twin._pending.items()
+        }
+        self.open_rows = {
+            bank: ((*bank, state.open_row), self.const(state.act_time))
+            for bank, state in twin._banks.items()
+            if state.open_row is not None
+        }
+        self.bank_times: dict[tuple[int, int], list[int]] = {}
+        #: Rows the walk senses: only their doses decide anything.
+        self.sensed = {
+            twin._key(step[1])
+            for step in steps
+            if step[0] in ("read", "act") and twin.geometry.valid_row(step[1])
+        }
+        self.doses: dict[RowKey, tuple[int, int]] = {}
+        self._minima_index: dict[tuple[RowKey, int], int] = {}
+        self._targets: dict[RowKey, tuple[tuple[RowKey, int, RowKey | None], ...]] = {}
+
+    # -- slots ----------------------------------------------------------
+
+    def slot(self, value: float = 0.0) -> int:
+        self.values.append(value)
+        return len(self.values) - 1
+
+    def const(self, value: float) -> int:
+        slot = self.slot(value)
+        self.constant[slot] = value
+        return slot
+
+    def dose_slots(self, key: RowKey) -> tuple[int, int]:
+        """The (hammer, press) accumulators of a row, bound to the prefix's doses."""
+        slots = self.doses.get(key)
+        if slots is None:
+            slots = self.doses[key] = (self.slot(), self.slot())
+            if not self.fresh:
+                self.dose_inits.append((*slots, key))
+        return slots
+
+    def restore_slot(self, key: RowKey) -> int:
+        slot = self.restore.get(key)
+        if slot is None:
+            twin = self.twin
+            slot = self.restore[key] = self.const(twin._last_restore.get(key, twin._start_time))
+        return slot
+
+    # -- the twin's bookkeeping -----------------------------------------
+
+    def byte(self, key: RowKey, checks: list[RowKey] | None = None) -> int:
+        """``DoseTwin._fill_byte``; a row a sense may have flipped joins ``checks``."""
+        byte = self.known.get(key)
+        if byte is None:
+            raise ReplayInexact(f"row {key}: not filled by the payload, or its content changed")
+        if checks is not None and key in self.changing and key not in checks:
+            checks.append(key)
+        return byte
+
+    def targets_of(self, aggressor: RowKey) -> tuple[tuple[RowKey, int, RowKey | None], ...]:
         """``(victim, distance, sandwiching row)`` in ``_deposit``'s order."""
         targets = self._targets.get(aggressor)
         if targets is None:
@@ -757,189 +1112,192 @@ class ProbePlan:
             targets = self._targets[aggressor] = tuple(found)
         return targets
 
-    def flips(self, loop_count: int) -> bool:
-        """Whether the payload at ``loop_count`` flips a bit it reads.
+    def sandwich_test(
+        self, end: int, other: RowKey | None, window: float | None
+    ) -> tuple[bool, int]:
+        """``_deposit``'s sandwich check: (its answer, -1) if decided here, else (False, slot).
 
-        ``loop_count`` must exceed :attr:`warmup` by more than two, so
-        the executor runs it in bulk; the answer equals the twin walk's
-        :attr:`DoseTwin.read_flipped`.
+        The slot holds the sandwiching row's last episode end, which the
+        probe compares with ``end``.
         """
-        remaining = loop_count - self.warmup
-        period = self._period
-        state = _ProbeState(self)
-        hammer_dose, press_dose, last_end = state.hammer, state.press, state.last_end
-        loop_doses, temperature = self.loop_doses, self.temperature
-        base = self._start + (remaining - 1) * period
-        for key, pre_offset, warm, window, targets in self._bulk:
-            # DramDevice.deposit_episodes: flush the warm-up episode, then
-            # _deposit the bulk, with the fill patterns and doses planned.
-            end_time = base + pre_offset
-            if warm is not None:
-                t_on, pre_time, warm_window = warm
-                t_off = max(end_time - pre_time, 0.0)
-                for victim, distance, other, pattern, *_ in targets:
-                    sandwiched = False
-                    if other is not None:
-                        last = last_end.get(other)
-                        sandwiched = last is not None and pre_time - last <= warm_window
-                    hammer, press = loop_doses(
-                        t_on, t_off, temperature, pattern, distance, sandwiched, 1
-                    )
-                    if hammer:
-                        hammer_dose[victim] = hammer_dose.get(victim, 0.0) + hammer
-                    if press:
-                        press_dose[victim] = press_dose.get(victim, 0.0) + press
-                last_end[key] = pre_time
-            hammer_dose.pop(key, None)
-            press_dose.pop(key, None)
-            state.restore[key] = end_time
-            for victim, _, other, _, alone, *sandwiched in targets:
-                doses = alone
-                if other is not None:
-                    last = last_end.get(other)
-                    if last is not None and end_time - last <= window:
-                        doses = sandwiched[0]
-                hammer = doses[0] * remaining
-                press = doses[1] * remaining
-                if hammer:
-                    hammer_dose[victim] = hammer_dose.get(victim, 0.0) + hammer
-                if press:
-                    press_dose[victim] = press_dose.get(victim, 0.0) + press
-            last_end[key] = end_time
-        time_ns = self._start + remaining * period
-        banks: dict[tuple[int, int], list[float]] = {}
-        open_rows: dict[tuple[int, int], tuple[RowKey, float]] = {}
-        if self._commands:
-            shift = remaining * period
-            banks = {
-                bank: [last_act + shift, last_pre + shift]
-                if bank in self._bulk_banks
-                else [last_act, last_pre]
-                for bank, (last_act, last_pre) in self._banks.items()
-            }
-            open_rows.update(self._open_rows)
-        timing = self.twin.timing
-        flipped = False
-        for step in self._steps:
-            op = step[0]
-            if op == "wait":
-                time_ns = time_ns + step[1]
-            elif op == "read":
-                if state.pending:
-                    state.flush_pending(step[1], time_ns)
-                if state.sense(step[1], time_ns):
-                    flipped = True
-            elif op == "act":
-                key = step[1]
-                bank = banks[key[:2]]
-                if self._check_timing and (
-                    time_ns - bank[1] < timing.tRP - 1e-9
-                    or time_ns - bank[0] < timing.tRC - 1e-9
-                ):
-                    raise ReplayInexact(f"ACT of row {key} fails the executor's timing check")
-                if key[:2] in open_rows:
-                    raise ReplayInexact(f"ACT of row {key} to an open bank")
-                state.flush_pending(key, time_ns)
-                state.sense(key, time_ns)
-                open_rows[key[:2]] = (key, time_ns)
-                bank[0] = time_ns
-            elif op == "pre":
-                bank = banks[step[1]]
-                if self._check_timing and time_ns - bank[0] < timing.tRAS - 1e-9:
-                    raise ReplayInexact(f"PRE of bank {step[1]} fails the executor's timing check")
-                opened = open_rows.pop(step[1], None)
-                if opened is not None:
-                    state.pending[opened[0]] = _Episode(act_time=opened[1], pre_time=time_ns)
-                bank[1] = time_ns
-            else:  # "fill"
-                state.written(step[1], step[2], time_ns)
-        return flipped
+        last = None if other is None else self.last_end.get(other)
+        if last is None:
+            return False, -1
+        constant = self.constant
+        if window is not None and end in constant and last in constant:
+            return constant[end] - constant[last] <= window, -1
+        return False, last
 
-
-class _ProbeState:
-    """One probe's copy of a plan's prefix state, and the twin's bookkeeping on it.
-
-    Each method does what the :class:`DoseTwin` method it names does to
-    the twin's dictionaries.
-    """
-
-    __slots__ = ("plan", "hammer", "press", "pending", "last_end", "restore", "known")
-
-    def __init__(self, plan: ProbePlan) -> None:
-        twin = plan.twin
-        self.plan = plan
-        self.hammer = dict(twin._hammer_dose)
-        self.press = dict(twin._press_dose)
-        self.pending = dict(plan._pending)
-        self.last_end = dict(twin._last_episode_end)
-        self.restore = dict(twin._last_restore)
-        self.known = dict(twin._uniform_byte)
-
-    def byte(self, key: RowKey) -> int:
-        """``DoseTwin._fill_byte``."""
-        byte = self.known.get(key)
-        if byte is None:
-            raise ReplayInexact(f"row {key}: not filled by the payload, or its content changed")
-        return byte
-
-    def flush_pending(self, key: RowKey, now: float) -> None:
-        """``DramDevice._flush_pending``."""
-        episode = self.pending.pop(key, None)
-        if episode is not None:
-            t_on = episode.pre_time - episode.act_time
-            t_off = max(now - episode.pre_time, 0.0)
-            self.deposit(key, t_on, t_off, episode.pre_time, 1)
-
-    def deposit(
-        self, aggressor: RowKey, t_on: float, t_off: float, end_time: float, count: int
-    ) -> None:
-        """``DramDevice._deposit``."""
-        plan = self.plan
-        aggressor_byte = self.byte(aggressor)
-        window = plan.twin._sandwich_window(t_on)
-        hammer_dose, press_dose, last_end = self.hammer, self.press, self.last_end
-        for victim, distance, other in plan._targets_of(aggressor):
-            sandwiched = False
-            if other is not None:
-                last = last_end.get(other)
-                sandwiched = last is not None and end_time - last <= window
-            pattern = classify_fill_pair(aggressor_byte, self.byte(victim))
-            hammer, press = plan.loop_doses(
-                t_on, t_off, plan.temperature, pattern, distance, sandwiched, count
+    def flush(self, key: RowKey, now: int | None) -> None:
+        """``_flush_pending``: deposit ``key``'s pending episode at ``now`` (None: the time then)."""
+        act, pre = self.pending.pop(key)
+        constant = self.constant
+        checks: list[RowKey] = []
+        aggressor_byte = self.byte(key, checks)
+        t_on = window = None
+        if act in constant and pre in constant:
+            t_on = constant[pre] - constant[act]
+            window = self.twin._sandwich_window(t_on)
+        groups: list[tuple[object, bool]] = []
+        targets = []
+        for victim, distance, other in self.targets_of(key):
+            pattern = classify_fill_pair(aggressor_byte, self.byte(victim, checks))
+            if victim not in self.sensed:
+                continue
+            sandwiched, test = self.sandwich_test(pre, other, window)
+            shapes = [(pattern, sandwiched)] if test < 0 else [(pattern, False), (pattern, True)]
+            for shape in shapes:
+                if shape not in groups:
+                    groups.append(shape)
+            targets.append(
+                (
+                    *self.dose_slots(victim),
+                    groups.index(shapes[0]),
+                    groups.index(shapes[-1]),
+                    test,
+                    HAMMER_DISTANCE_FACTOR.get(distance, 0.0),
+                    PRESS_DISTANCE_FACTOR.get(distance, 0.0),
+                )
             )
-            if hammer:
-                hammer_dose[victim] = hammer_dose.get(victim, 0.0) + hammer
-            if press:
-                press_dose[victim] = press_dose.get(victim, 0.0) + press
-        last_end[aggressor] = end_time
+        self.last_end[key] = pre
+        self.flushes.append(
+            _FlushShape(act, pre, t_on, tuple(groups), tuple(targets), tuple(checks))
+        )
+        self.ops.append((_FLUSH, len(self.flushes) - 1, now))
 
-    def sense(self, key: RowKey, now: float) -> bool:
-        """``DoseTwin._flips_on_sense`` (with ``_restore_on_sense``)."""
-        plan = self.plan
+    def sense(self, key: RowKey, read: bool) -> None:
+        """``DoseTwin._flips_on_sense``, with ``_restore_on_sense`` and its flushes."""
+        check = key in self.changing
         byte = self.byte(key)
         if self.pending:  # _flush_neighborhood
             rank, bank, row = key
-            for distance in range(1, plan.neighbor_distance + 1):
+            for distance in range(1, self.twin.config.neighbor_distance + 1):
                 for neighbor in (row - distance, row + distance):
                     if (rank, bank, neighbor) in self.pending:
-                        self.flush_pending((rank, bank, neighbor), now)
-        hammer_dose = self.hammer.pop(key, 0.0)
-        press_dose = self.press.pop(key, 0.0)
-        unrefreshed = now - self.restore.get(key, plan.twin._start_time)
-        self.restore[key] = now
-        if hammer_dose == 0.0 and press_dose == 0.0 and unrefreshed < plan.retention_floor:
-            return False
-        if _exposure_flips(
-            plan.population, key, byte, hammer_dose, press_dose, unrefreshed, plan.scale
-        ):
-            self.known.pop(key)
-            return True
-        return False
+                        self.flush((rank, bank, neighbor), None)
+        h, p = self.dose_slots(key)
+        restore = self.restore_slot(key)
+        restored = self.restore[key] = self.slot()
+        index = self._minima_index.get((key, byte))
+        if index is None:
+            index = self._minima_index[(key, byte)] = len(self.minima_keys)
+            self.minima_keys.append((key, byte))
+        self.ops.append((_SENSE, key, h, p, restore, restored, index, read, check, False))
+        self.changing.add(key)
 
-    def written(self, key: RowKey, byte: int, now: float) -> None:
-        """``DramDevice._written`` (a fill)."""
-        self.known[key] = byte
-        self.hammer.pop(key, None)
-        self.press.pop(key, None)
-        self.pending.pop(key, None)
-        self.restore[key] = now
+    def bank_slots(
+        self, bank: tuple[int, int], banks: dict, bulk_banks: set[tuple[int, int]]
+    ) -> list[int]:
+        """The executor's [last ACT, last PRE] of a bank after the loop, as slots."""
+        slots = self.bank_times.get(bank)
+        if slots is None:
+            times = banks[bank]
+            if bank in bulk_banks:
+                slots = [self.slot(), self.slot()]
+                for slot, time_ns in zip(slots, times):
+                    self.ops.append((_SHIFT, slot, time_ns))
+            else:
+                slots = [self.const(time_ns) for time_ns in times]
+            self.bank_times[bank] = slots
+        return slots
+
+    # -- the walk -------------------------------------------------------
+
+    def bulk(self, episodes: Sequence[tuple[RowAddress, float, float, float]]) -> None:
+        """``deposit_episodes`` of each bulk episode, as the executor's bulk path calls it."""
+        twin = self.twin
+        for address, t_on, t_off, pre_offset in episodes:
+            key = twin._key(address)
+            end = self.slot()
+            self.ops.append((_END, end, pre_offset))
+            aggressor_byte = self.byte(key)
+            if key in self.pending:  # the last warm-up episode, flushed at the bulk's end
+                self.flush(key, end)
+            if key in self.sensed:  # the aggressor's own charge is restored
+                self.ops.append((_ZERO, *self.dose_slots(key)))
+            self.restore[key] = end
+            window = twin._sandwich_window(t_on)
+            targets = []
+            doses = []
+            for victim, distance, other in self.targets_of(key):
+                pattern = classify_fill_pair(aggressor_byte, self.byte(victim))
+                if victim not in self.sensed:
+                    continue
+                sandwiched, test = self.sandwich_test(end, other, window)
+                targets.append((*self.dose_slots(victim), test, window))
+                doses.append((t_on, t_off, pattern, distance, sandwiched, test >= 0))
+            self.bulk_doses.append(tuple(doses))
+            self.ops.append((_BULK, end, tuple(targets), len(self.bulk_doses) - 1))
+            self.last_end[key] = end
+
+    def walk(
+        self, steps: Sequence[PlanStep], banks: dict, bulk_banks: set[tuple[int, int]]
+    ) -> None:
+        """The steps after the loop, as the executor runs them on the twin."""
+        twin = self.twin
+        timing = twin.timing
+        ops = self.ops
+        for step in steps:
+            op = step[0]
+            if op == "wait":
+                ops.append((_WAIT, step[1]))
+                continue
+            if op == "pre":
+                bank = step[1]
+                if bank not in twin._banks:
+                    raise ReplayInexact(f"no bank {bank}")
+                slots = self.bank_slots(bank, banks, bulk_banks)
+                if self.check_timing:
+                    ops.append((_AFTER, slots[0], timing.tRAS - 1e-9, f"PRE of bank {bank}"))
+                opened = self.open_rows.pop(bank, None)
+                pre = self.slot()
+                ops.append((_STORE, pre))
+                if opened is not None:
+                    self.pending[opened[0]] = (opened[1], pre)
+                slots[1] = pre
+                continue
+            if not twin.geometry.valid_row(step[1]):
+                raise ReplayInexact(f"row address out of range: {step[1]}")
+            key = twin._key(step[1])
+            if op == "read":
+                if key in self.pending:
+                    self.flush(key, None)
+                self.sense(key, read=True)
+            elif op == "act":
+                bank = key[:2]
+                slots = self.bank_slots(bank, banks, bulk_banks)
+                if self.check_timing:
+                    what = f"ACT of row {key}"
+                    ops.append((_AFTER, slots[1], timing.tRP - 1e-9, what))
+                    ops.append((_AFTER, slots[0], timing.tRC - 1e-9, what))
+                if bank in self.open_rows:
+                    raise ReplayInexact(f"ACT of row {key} to an open bank")
+                if key in self.pending:
+                    self.flush(key, None)
+                self.sense(key, read=False)
+                act = self.slot()
+                ops.append((_STORE, act))
+                self.open_rows[bank] = (key, act)
+                slots[0] = act
+            else:  # "fill": DramDevice._written
+                self.known[key] = step[2]
+                self.changing.discard(key)
+                self.pending.pop(key, None)
+                restored = self.restore[key] = self.slot()
+                ops.append((_FILL, key, *self.dose_slots(key), restored))
+
+    def finished_ops(self) -> tuple[tuple, ...]:
+        """The operations, with a read's flip final where no timing check follows it.
+
+        Past the last check nothing a probe does can end in anything
+        but a flip the walk sees too (a row whose content changed sends
+        the probe to the walk, which reads that flip on the device).
+        """
+        ops = list(self.ops)
+        for index in range(len(ops) - 1, -1, -1):
+            op = ops[index]
+            if op[0] == _AFTER:
+                break
+            if op[0] == _SENSE and op[7]:
+                ops[index] = (*op[:9], True)
+        return tuple(ops)

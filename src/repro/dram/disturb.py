@@ -155,6 +155,29 @@ class DoseParameters:
         exponent = (temperature_c - self.ref_temperature) / 30.0
         return (1.0 / self.hammer_temp_ratio_80) ** exponent
 
+    def hammer_off_ratio(self, t_off: float) -> float:
+        """The off-time term of :meth:`hammer_dose`, relative to tRP."""
+        return self._f_off(t_off) / self._f_off(self.ref_trp)
+
+    def hammer_factors(
+        self,
+        t_on: float,
+        temperature_c: float,
+        aggressor_pattern: DataPattern,
+        sandwiched: bool = False,
+    ) -> tuple[float, ...]:
+        """What :meth:`hammer_dose` multiplies the off-time term by, in order.
+
+        None of them depends on the off-time, so a caller that meets one
+        episode shape at many off-times computes them once.
+        """
+        factors = (
+            self._on_boost(t_on) / self._on_boost(self.ref_tras),
+            self.hammer_temp_factor(temperature_c),
+            self.hammer_pattern_factor(aggressor_pattern),
+        )
+        return (*factors, self.hammer_sandwich_boost) if sandwiched else factors
+
     def hammer_dose(
         self,
         t_on: float,
@@ -168,12 +191,9 @@ class DoseParameters:
         spatial = HAMMER_DISTANCE_FACTOR.get(abs(distance), 0.0)
         if spatial == 0.0:
             return 0.0
-        dose = self._f_off(t_off) / self._f_off(self.ref_trp)
-        dose *= self._on_boost(t_on) / self._on_boost(self.ref_tras)
-        dose *= self.hammer_temp_factor(temperature_c)
-        dose *= self.hammer_pattern_factor(aggressor_pattern)
-        if sandwiched:
-            dose *= self.hammer_sandwich_boost
+        dose = self.hammer_off_ratio(t_off)
+        for factor in self.hammer_factors(t_on, temperature_c, aggressor_pattern, sandwiched):
+            dose *= factor
         return dose * spatial
 
     # ---------------- press channel ----------------
@@ -200,6 +220,25 @@ class DoseParameters:
         """Dose retained after ``rest_time`` with no neighbor open."""
         return 1.0 / (1.0 + max(rest_time, 0.0) / self.press_off_recovery_tau)
 
+    def press_onset_dose(
+        self,
+        t_on: float,
+        temperature_c: float,
+        aggressor_pattern: DataPattern,
+        sandwiched: bool = False,
+    ) -> float:
+        """Press dose of one episode before off-time recovery and distance."""
+        dose = self.press_effective_on_time(t_on, sandwiched)
+        dose *= self.press_temp_factor(temperature_c)
+        dose *= self.press_pattern_factor(aggressor_pattern, temperature_c, sandwiched)
+        return dose
+
+    def press_rest(self, t_on: float, t_off: float, sandwiched: bool) -> float:
+        """How long the victim rests after an episode (see press_off_recovery_tau)."""
+        # Sandwiched victims only rest during the precharge bubbles: the
+        # other aggressor's on-time fills the rest of the off interval.
+        return max(t_off - t_on, self.ref_trp) if sandwiched else t_off
+
     def press_dose(
         self,
         t_on: float,
@@ -213,13 +252,8 @@ class DoseParameters:
         spatial = PRESS_DISTANCE_FACTOR.get(abs(distance), 0.0)
         if spatial == 0.0:
             return 0.0
-        dose = self.press_effective_on_time(t_on, sandwiched)
-        dose *= self.press_temp_factor(temperature_c)
-        dose *= self.press_pattern_factor(aggressor_pattern, temperature_c, sandwiched)
-        # Sandwiched victims only rest during the precharge bubbles: the
-        # other aggressor's on-time fills the rest of the off interval.
-        rest = max(t_off - t_on, self.ref_trp) if sandwiched else t_off
-        dose *= self.press_off_recovery(rest)
+        dose = self.press_onset_dose(t_on, temperature_c, aggressor_pattern, sandwiched)
+        dose *= self.press_off_recovery(self.press_rest(t_on, t_off, sandwiched))
         return dose * spatial
 
     # ---------------- data-pattern factors ----------------
@@ -253,6 +287,7 @@ class DisturbanceModel:
     def __init__(self, params: DoseParameters) -> None:
         self.params = params
         self._episode_cache: dict[tuple, tuple[float, float]] = {}
+        self._factor_cache: dict[tuple, tuple[tuple[float, ...], float]] = {}
 
     def episode_doses(
         self,
@@ -282,6 +317,36 @@ class DisturbanceModel:
                 self._episode_cache.clear()
             cached = (hammer, press)
             self._episode_cache[key] = cached
+        return cached
+
+    def episode_factors(
+        self,
+        t_on: float,
+        temperature_c: float,
+        aggressor_pattern: DataPattern,
+        sandwiched: bool,
+    ) -> tuple[tuple[float, ...], float]:
+        """The off-time-free parts of one episode's doses (memoized).
+
+        ``(hammer factors, press onset dose)``: at off-time ``t_off``
+        the episode's hammer dose is
+        :meth:`DoseParameters.hammer_off_ratio` times each factor in
+        turn, and its press dose the onset dose times
+        :meth:`DoseParameters.press_off_recovery` of
+        :meth:`DoseParameters.press_rest`, each then times the distance
+        factor, as :meth:`episode_doses` computes them.
+        """
+        key = (t_on, temperature_c, aggressor_pattern, sandwiched)
+        cached = self._factor_cache.get(key)
+        if cached is None:
+            params = self.params
+            cached = (
+                params.hammer_factors(t_on, temperature_c, aggressor_pattern, sandwiched),
+                params.press_onset_dose(t_on, temperature_c, aggressor_pattern, sandwiched),
+            )
+            if len(self._factor_cache) >= self._CACHE_LIMIT:
+                self._factor_cache.clear()
+            self._factor_cache[key] = cached
         return cached
 
     def loop_doses(

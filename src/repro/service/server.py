@@ -109,6 +109,11 @@ SERVER_ID = f"repro-service/{__version__}"
 
 #: Largest accepted request body (campaign specs are tiny).
 _MAX_BODY_BYTES = 1 << 20
+#: How much of an oversized body the server reads and drops after its
+#: 413 reply, and for how long: a client still sending the body then
+#: reads the reply, not a connection reset.
+_DRAIN_BYTES = 64 << 20
+_DRAIN_S = 5.0
 
 #: Headers of a reply after which the server hangs up (413, 500).
 _CLOSE = {"Connection": "close"}
@@ -211,6 +216,9 @@ class HttpRequest:
     #: True once the client has hung up (end of stream, or a reset);
     #: a long-poll checks it so a dead worker is granted nothing.
     hung_up: Callable[[], bool] = lambda: False
+    #: Body bytes the client declared but the server left unread (an
+    #: oversized body, answered 413).
+    unread: int = 0
 
     @property
     def client_id(self) -> str:
@@ -246,7 +254,9 @@ async def _read_request(
         length = int(headers.get("content-length", "0") or "0")
     except ValueError:
         return None
+    unread = 0
     if length < 0 or length > _MAX_BODY_BYTES:
+        unread = max(length, 0)
         length = -1  # signal oversized; the dispatcher answers 413
     body = b""
     if length > 0:
@@ -264,10 +274,32 @@ async def _read_request(
         client=client,
         trace_parent=headers.get(TRACE_HEADER.lower()),
         hung_up=lambda: reader.at_eof() or reader.exception() is not None,
+        unread=unread,
     )
     if length == -1:
         request.headers["x-internal-oversized"] = "1"
     return request
+
+
+async def _drain(reader: asyncio.StreamReader, length: int) -> None:
+    """Read and drop up to ``length`` body bytes the client may still be sending.
+
+    Bounded by :data:`_DRAIN_BYTES` and :data:`_DRAIN_S`; ends early when
+    the client hangs up (it does once it has read the reply).
+    """
+
+    async def drop() -> None:
+        remaining = min(length, _DRAIN_BYTES)
+        while remaining > 0:
+            chunk = await reader.read(min(remaining, 1 << 16))
+            if not chunk:
+                return
+            remaining -= len(chunk)
+
+    try:
+        await asyncio.wait_for(drop(), _DRAIN_S)
+    except (asyncio.TimeoutError, ConnectionError):
+        pass
 
 
 class CampaignService:
@@ -420,6 +452,8 @@ class CampaignService:
                     break
                 keep_alive = await self._dispatch(request, writer)
                 if not keep_alive:
+                    if request.unread:
+                        await _drain(reader, request.unread)
                     break
         except (ConnectionError, asyncio.CancelledError):
             pass

@@ -612,22 +612,39 @@ def _mutate_ineligible_minima() -> Iterator[None]:
 @contextlib.contextmanager
 def _mutate_plan_drops_warmup_flush() -> Iterator[None]:
     """Bug: a probe plan's bulk forgets the warm-up episode it flushes."""
-    from repro.dram.device import ProbePlan
+    from repro.dram import device
 
-    original = ProbePlan.__init__
+    original = device.ProbePlan.__init__
 
     def mutated(self, *args, **kwargs) -> None:
         original(self, *args, **kwargs)
-        self._bulk = tuple(
-            (key, pre_offset, None, window, targets)
-            for key, pre_offset, _, window, targets in self._bulk
+        # The warm-up flushes are the flushes timed by a bulk episode's end.
+        self._ops = tuple(
+            op for op in self._ops if not (op[0] == device._FLUSH and op[2] is not None)
         )
 
-    ProbePlan.__init__ = mutated
+    device.ProbePlan.__init__ = mutated
     try:
         yield
     finally:
-        ProbePlan.__init__ = original
+        device.ProbePlan.__init__ = original
+
+
+@contextlib.contextmanager
+def _mutate_plan_minima_wrong_byte() -> Iterator[None]:
+    """Bug: a probe plan resolves a row's eligible minima for the complement fill byte."""
+    from repro.dram.device import ProbePlan
+
+    original = ProbePlan._sense_minima
+
+    def mutated(self, key, byte: int) -> tuple[float, float, float]:
+        return original(self, key, byte ^ 0xFF)
+
+    ProbePlan._sense_minima = mutated
+    try:
+        yield
+    finally:
+        ProbePlan._sense_minima = original
 
 
 # ----------------------------------------------------------------------
@@ -818,6 +835,10 @@ ORACLES: dict[str, Oracle] = {
                 (
                     "probe plan drops the warm-up episode's flush term",
                     _mutate_plan_drops_warmup_flush,
+                ),
+                (
+                    "probe plan resolves minima for the complement fill byte",
+                    _mutate_plan_minima_wrong_byte,
                 ),
             ),
             max_examples=25,

@@ -11,6 +11,10 @@ These tests hold:
   temperature conditions, at every standard t_AggON, on every count of
   a full bisection, on loop counts 1-8 of both parities and on the
   largest count the budget allows;
+* one prefix replay per search for both count parities' plans, and the
+  counts the executor runs literally (the count-1 probe) answered from
+  a plan's prefix replay with no walk, equal to ``any_bitflip`` in the
+  same matrix;
 * the budget check, the fallbacks (no twin, a prefix or a probe the
   twin cannot replay exactly, a suffix command the executor rejects);
 * whole sweeps on the plan path to the replay path and the device
@@ -25,7 +29,12 @@ import pytest
 
 from repro import units
 from repro.bender.builder import single_sided_pattern
-from repro.bender.executor import LITERAL_LOOP_MAX, TimingViolation
+from repro.bender.executor import (
+    LITERAL_LOOP_MAX,
+    ProbePrefix,
+    ProgramExecutor,
+    TimingViolation,
+)
 from repro.bender.infrastructure import TestingInfrastructure
 from repro.bender.isa import compile_program
 from repro.bender.program import Act, FillRow, Loop, Pre, Program, ReadRow, Wait
@@ -164,6 +173,119 @@ def test_plan_durations_are_the_payloads():
 
 
 # ----------------------------------------------------------------------
+# one prefix replay per search, and literal counts from it
+# ----------------------------------------------------------------------
+
+
+def _counting_replays(monkeypatch) -> list:
+    """Record every template whose prefix a bench replays."""
+    replayed = []
+    replay_prefix = ProgramExecutor.replay_prefix
+
+    def counting(executor, template):
+        replayed.append(template)
+        return replay_prefix(executor, template)
+
+    monkeypatch.setattr(ProgramExecutor, "replay_prefix", counting)
+    return replayed
+
+
+def test_both_parity_plans_come_from_one_prefix_replay(monkeypatch):
+    replayed = _counting_replays(monkeypatch)
+    config = ExperimentConfig(access=AccessPattern.DOUBLE_SIDED)
+    bench = _bench()
+    for t_aggon in (36.0, units.TREFI):
+        plans: dict = {}
+        even, loops = probe_template(SITE, t_aggon, 2000, config)
+        odd, _ = probe_template(SITE, t_aggon, 2001, config)
+        bench.probe_bitflip(even, loops, plans)
+        bench.probe_bitflip(odd, loops, plans)
+        bench.probe_bitflip(odd, loops // 2, plans)
+        assert plans[even] is not None and plans[odd] is not None
+        assert plans[odd].prefix is plans[even].prefix
+    assert len(replayed) == 2  # one per search
+
+    # Whole searches: one replay each, though plans of both parities are bound.
+    bound = []
+    plan = ProbePrefix.plan
+
+    def binding(prefix, template):
+        bound.append(template)
+        return plan(prefix, template)
+
+    monkeypatch.setattr(ProbePrefix, "plan", binding)
+    searcher = AcminSearch(infra=bench, config=config)
+    both = 0
+    for t_aggon in DEFAULT_TAGGON_SWEEP[:6]:
+        replayed.clear()
+        bound.clear()
+        searcher.search(SITE, t_aggon)
+        assert len(replayed) <= 1
+        both += len(set(bound)) == 2
+    assert both >= 3
+
+
+def _walks(monkeypatch) -> list:
+    """Record every probe a bench answers by walking its payload."""
+    walked = []
+    any_bitflip = TestingInfrastructure.any_bitflip
+
+    def counting(bench, payload):
+        walked.append(payload)
+        return any_bitflip(bench, payload)
+
+    monkeypatch.setattr(TestingInfrastructure, "any_bitflip", counting)
+    return walked
+
+
+@pytest.mark.parametrize("module_id", DIE_MODULES)
+def test_literal_counts_from_the_prefix_equal_the_replay(monkeypatch, module_id):
+    """Count 1 (and every other count run literally) from the plan's prefix == any_bitflip."""
+    walked = _walks(monkeypatch)
+    bench = _bench(module_id)
+    literal = range(1, 2 * LITERAL_LOOP_MAX + 2)
+    for access in AccessPattern:
+        for data, temperature in CONDITIONS:
+            config = ExperimentConfig(access=access, data=data)
+            bench.set_temperature(temperature)
+            for t_aggon in DEFAULT_TAGGON_SWEEP:
+                # A plan exists whether or not the budget allows a bulk count.
+                template, _ = probe_template(SITE, t_aggon, 2 * LITERAL_LOOP_MAX + 2, config)
+                plans = {template: bench.probe_plan(template)}
+                assert plans[template] is not None
+                for count in literal:
+                    template, loops = probe_template(SITE, t_aggon, count, config)
+                    if (
+                        loops > LITERAL_LOOP_MAX
+                        or template.with_loop_count(loops).duration_ns > units.EXPERIMENT_BUDGET
+                    ):
+                        continue
+                    before = len(walked)
+                    answer = bench.probe_bitflip(template, loops, plans)
+                    assert len(walked) == before  # no walk: the prefix answered
+                    assert answer == bench.any_bitflip(template.with_loop_count(loops)), (
+                        module_id,
+                        access,
+                        data,
+                        t_aggon,
+                        count,
+                    )
+                assert len(plans) == (2 if access is AccessPattern.DOUBLE_SIDED else 1)
+    assert bench.log.programs_run == 0 and bench.log.plan_probes == 0
+
+
+def test_a_literal_count_without_a_plan_walks(monkeypatch):
+    """A search's first probe of a literal count makes no replay of its own."""
+    replayed = _counting_replays(monkeypatch)
+    walked = _walks(monkeypatch)
+    bench = _bench()
+    template, loops = probe_template(SITE, 36.0, 1, ExperimentConfig())
+    plans: dict = {}
+    bench.probe_bitflip(template, loops, plans)
+    assert plans == {} and not replayed and len(walked) == 1
+
+
+# ----------------------------------------------------------------------
 # fallbacks
 # ----------------------------------------------------------------------
 
@@ -243,6 +365,27 @@ def test_a_probe_the_plan_cannot_finish_falls_back_to_the_device():
         devices.add(bench.log.programs_run - executes)
     assert plans[template] is not None
     assert devices == {0, 1}
+
+
+def test_literal_counts_the_prefix_cannot_finish_fall_back_too():
+    """Counts the executor runs literally, answered from the prefix or walked as the replay would."""
+    template = _template([Act(_address(ROW + 1)), Wait(36.0), Pre(0, 0), Wait(15.0)])
+    bench, truth = _bench(), _bench()
+    plans: dict = {}
+    bench.probe_bitflip(template, 1_000_000, plans)
+    for loops in range(LITERAL_LOOP_MAX + 1):
+        answer = bench.probe_bitflip(template, loops, plans)
+        truth.fresh_experiment()
+        assert answer == bool(truth.execute(template.with_loop_count(loops)).bitflips)
+    # A PRE right after an ACT: the compiled walk gives up, the walk raises.
+    template = _template([Act(_address(ROW + 1)), Pre(0, 0)])
+    plans = {}
+    with pytest.raises(TimingViolation, match="tRAS"):
+        bench.probe_bitflip(template, 1000, plans)
+    assert plans[template] is not None
+    for loops in range(LITERAL_LOOP_MAX + 1):
+        with pytest.raises(TimingViolation, match="tRAS"):
+            bench.probe_bitflip(template, loops, plans)
 
 
 def test_a_suffix_command_the_executor_rejects_raises_as_in_the_replay():

@@ -69,6 +69,7 @@ class ServerProcess:
 
     def __init__(self, data_dir: Path, extra_args=()):
         self.data_dir = data_dir
+        self.clients: list[ServiceClient] = []
         port_file = data_dir / "port.txt"
         port_file.unlink(missing_ok=True)
         self.process, self.stderr_path = spawn_repro(
@@ -103,13 +104,19 @@ class ServerProcess:
         self.port = int(port_file.read_text())
 
     def client(self, **kwargs) -> ServiceClient:
-        return ServiceClient(f"http://127.0.0.1:{self.port}", **kwargs)
+        """A client of this server; :meth:`kill` closes it."""
+        client = ServiceClient(f"http://127.0.0.1:{self.port}", **kwargs)
+        self.clients.append(client)
+        return client
 
     def sigterm_and_wait(self, timeout_s: float = 60.0) -> int:
         self.process.send_signal(signal.SIGTERM)
         return self.process.wait(timeout=timeout_s)
 
     def kill(self):
+        for client in self.clients:
+            client.close()
+        self.clients.clear()
         if self.process.poll() is None:
             self.process.kill()
             self.process.wait(timeout=10)

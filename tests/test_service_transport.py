@@ -146,6 +146,20 @@ def test_a_413_reply_closes_the_connection_and_the_client_drops_it(
     client.close()
 
 
+def test_a_body_too_large_for_the_socket_buffers_still_gets_its_413(service):
+    """The server reads and drops an oversized body after its reply, so
+    the client, still sending it, reads the 413 and not a reset."""
+    client = ServiceClient(url(service), retries=0)
+    try:
+        for size in ((1 << 20) + 1, 8 << 20):
+            with pytest.raises(ServiceError) as excinfo:
+                client._request("POST", "/v1/campaigns", body="x" * size)
+            assert excinfo.value.status == 413
+        client.healthz()  # a new connection for the next call
+    finally:
+        client.close()
+
+
 def test_a_slot_thread_and_its_heartbeat_thread_never_share_a_connection(
     tmp_path, monkeypatch
 ):
